@@ -59,9 +59,8 @@ def test_bench_energy_overhead():
     # ~2 s each, so a single scheduler blip on a shared worker is
     # comparable to the 10% budget, and the min-of-interleaved estimator
     # discards it.  Five rounds (not three) because the true overhead is
-    # now only a few percent — post-compiled-core there is far less
-    # per-uop Python work for the finalise-time power evaluation to
-    # amortise against — while per-run noise on a small box is ~10%, so
+    # only a few percent — the power evaluation runs once per run, at
+    # finalise — while per-run noise on a small box is ~10%, so
     # with too few rounds the mins don't both reach their floor and the
     # measured sign itself can invert.  Readings within a couple of
     # percent of zero (either sign) mean "below this box's noise floor";

@@ -4,11 +4,7 @@ Emits ``benchmarks/results/BENCH_sim.json`` with wall-clock and uops/sec for
 the headline policy ladder (12 SPEC Int profiles x baseline + 7 ladder
 policies) under the configurations that matter for sweep throughput:
 
-* ``serial_cold``    — one process, nothing warm: the raw simulator number
-  under the auto-detected backend (compiled when the ``repro._corekernel``
-  extension is built).
-* ``serial_cold_python`` — the same sweep with ``REPRO_BACKEND=python``
-  forced, so the artefact always carries a per-backend pair.
+* ``serial_cold``    — one process, nothing warm: the raw simulator number.
 * ``serial_warm_traces`` — fresh "process" (cleared memo) over a warm trace
   store: what a second sweep session pays when only traces are reusable.
 * ``parallel_cold``  — the ``--jobs`` path through the persistent worker
@@ -17,9 +13,8 @@ policies) under the configurations that matter for sweep throughput:
   scenario records the effective ``jobs`` plus ``jobs_requested``).
 * ``warm_cache``     — warm on-disk result cache: repeat sweeps are served
   from content-addressed entries.
-* ``dispatch_chain`` / ``dispatch_chain_python`` — one helper-cluster run
-  (gcc / IR, no baseline, no sweep engine) per backend: isolates the
-  per-uop dispatch/resolve/wakeup chain the compiled kernels target, which
+* ``dispatch_chain`` — one helper-cluster run (gcc / IR, no baseline, no
+  sweep engine): isolates the per-uop dispatch/resolve/wakeup chain, which
   the ladder number dilutes with engine and baseline costs.
 
 CI's perf smoke job sets ``REPRO_BENCH_ENFORCE=1`` to fail on a >25%
@@ -27,12 +22,8 @@ uops/sec regression against the committed JSON (``REPRO_BENCH_TOLERANCE``
 overrides the margin).  ``warm_cache`` is gated too, at a wider default
 margin (``REPRO_BENCH_TOLERANCE_WARM``, 60%): its wall is milliseconds,
 so only structural cache-path regressions (an extra decode or sync per
-entry reads as 2x+) should trip it, never timer noise.  The gate is per
-backend: each serial-cold scenario
-records which backend produced it and is only compared against a committed
-scenario measured under the same backend, so a runner without a compiler
-cannot trip the compiled number (and vice versa).  Without the env var the
-benchmark only measures and rewrites the artefact, so local runs on
+entry reads as 2x+) should trip it, never timer noise.  Without the env
+var the benchmark only measures and rewrites the artefact, so local runs on
 different hardware never fail spuriously.
 
 Scope knob: ``REPRO_BENCH_SIM_BENCHMARKS=gcc,gzip`` restricts the ladder to
@@ -48,7 +39,6 @@ import time
 
 from repro.sim import engine as engine_mod
 from repro.sim.experiment import ExperimentRunner
-from repro.sim.hotstate import BACKEND_ENV, detected_backend
 from repro.trace.profiles import SPEC_INT_2000, SPEC_INT_NAMES
 
 from _bench_utils import BENCH_SEED, BENCH_UOPS, LADDER, RESULTS_DIR
@@ -110,7 +100,6 @@ def _run_ladder(tmp_path, label, jobs=1, cache_dir=None, store_dir=None):
         # so a 1-CPU artefact is honest about parallel_cold being serial).
         "jobs": runner.engine.jobs,
         "result_cache": bool(cache_dir),
-        "backend": detected_backend(),
     }
     if runner.engine.jobs_clamped_from:
         scenario["jobs_requested"] = runner.engine.jobs_clamped_from
@@ -122,8 +111,8 @@ def _run_dispatch_chain():
 
     One helper-cluster run (no baseline, no sweep engine) over the gcc
     profile under the IR policy: dispatch + resolve + wakeup dominate this
-    configuration, so the scenario isolates the compiled dispatch-chain
-    kernels the ladder number dilutes with engine and baseline costs.
+    configuration, so the scenario isolates the per-uop chain the ladder
+    number dilutes with engine and baseline costs.
     Min-of-3 discards scheduler blips.
     """
     from repro.core.config import helper_cluster_config
@@ -150,7 +139,6 @@ def _run_dispatch_chain():
     scenario = {
         "wall_s": round(best_wall, 3),
         "uops_per_sec": round(BENCH_UOPS / best_wall),
-        "backend": detected_backend(),
     }
     return result, scenario
 
@@ -158,62 +146,27 @@ def _run_dispatch_chain():
 def test_bench_sim_throughput(tmp_path):
     scenarios = {}
 
-    # -- serial, nothing warm: auto-detected backend vs forced pure python --
-    # (identical when no extension is built; per-backend throughput is what
-    # the perf gate compares).  Two interleaved rounds per backend, keeping
-    # each scenario's fastest: single-shot wall-clock on a small shared box
-    # is ~10% noisy and whichever scenario runs first also pays machine
-    # cold-start, so a one-shot artefact can invert the backend comparison.
-    # The min-of-interleaved estimator (same as BENCH_energy's) discards
-    # scheduler blips instead of committing them.
+    # -- serial, nothing warm ------------------------------------------------
+    # Two rounds, keeping the fastest: single-shot wall-clock on a small
+    # shared box is ~10% noisy and the first round also pays machine
+    # cold-start.  The min-of-rounds estimator (same as BENCH_energy's)
+    # discards scheduler blips instead of committing them.
     reference = None
     for round_index in range(2):
-        for key, forced in (("serial_cold", None),
-                            ("serial_cold_python", "python")):
-            engine_mod._trace_memo.clear()
-            saved_backend = os.environ.get(BACKEND_ENV)
-            if forced:
-                os.environ[BACKEND_ENV] = forced
-            try:
-                sweep, scenario = _run_ladder(
-                    tmp_path, key,
-                    store_dir=str(tmp_path / f"traces-{key}-{round_index}"))
-            finally:
-                if forced is None:
-                    pass
-                elif saved_backend is None:
-                    os.environ.pop(BACKEND_ENV, None)
-                else:
-                    os.environ[BACKEND_ENV] = saved_backend
-            if reference is None:
-                reference = sweep
-            else:
-                assert _fingerprint(sweep) == _fingerprint(reference)
-            if (key not in scenarios
-                    or scenario["wall_s"] < scenarios[key]["wall_s"]):
-                scenarios[key] = scenario
-
-    # -- dispatch-chain microbenchmark: one run, no engine, per backend ------
-    chain_reference = None
-    for key, forced in (("dispatch_chain", None),
-                        ("dispatch_chain_python", "python")):
-        saved_backend = os.environ.get(BACKEND_ENV)
-        if forced:
-            os.environ[BACKEND_ENV] = forced
-        try:
-            chain_result, scenarios[key] = _run_dispatch_chain()
-        finally:
-            if forced is None:
-                pass
-            elif saved_backend is None:
-                os.environ.pop(BACKEND_ENV, None)
-            else:
-                os.environ[BACKEND_ENV] = saved_backend
-        if chain_reference is None:
-            chain_reference = chain_result
+        engine_mod._trace_memo.clear()
+        sweep, scenario = _run_ladder(
+            tmp_path, "serial_cold",
+            store_dir=str(tmp_path / f"traces-serial_cold-{round_index}"))
+        if reference is None:
+            reference = sweep
         else:
-            assert (chain_result.ipc, chain_result.fast_cycles) == (
-                chain_reference.ipc, chain_reference.fast_cycles)
+            assert _fingerprint(sweep) == _fingerprint(reference)
+        if ("serial_cold" not in scenarios
+                or scenario["wall_s"] < scenarios["serial_cold"]["wall_s"]):
+            scenarios["serial_cold"] = scenario
+
+    # -- dispatch-chain microbenchmark: one run, no engine -------------------
+    _chain_result, scenarios["dispatch_chain"] = _run_dispatch_chain()
 
     # -- fresh process over a warm trace store (seeded by round 0 above) -----
     engine_mod._trace_memo.clear()
@@ -264,8 +217,6 @@ def test_bench_sim_throughput(tmp_path):
     # sides are normalised by their own machine's calibration rate, so the
     # comparison survives runner-hardware differences; an artefact without
     # a calibration figure falls back to raw uops/sec (same-machine only).
-    # Per-backend: a scenario only gates against a committed scenario that
-    # was measured under the same backend.
     if os.environ.get("REPRO_BENCH_ENFORCE") == "1":
         tolerance = float(os.environ.get("REPRO_BENCH_TOLERANCE", "0.25"))
         # The warm-cache sweep is milliseconds long, so even min-of-3 is
@@ -275,17 +226,13 @@ def test_bench_sim_throughput(tmp_path):
         warm_tolerance = float(
             os.environ.get("REPRO_BENCH_TOLERANCE_WARM", "0.6"))
         old_calibration = committed.get("calibration_ops_per_sec")
-        for key in ("serial_cold", "serial_cold_python",
-                    "dispatch_chain", "dispatch_chain_python",
-                    "warm_cache"):
+        for key in ("serial_cold", "dispatch_chain", "warm_cache"):
             old = committed.get("scenarios", {}).get(key, {})
             old_rate = old.get("uops_per_sec")
             new = scenarios[key]
             new_rate = new["uops_per_sec"]
             if not old_rate:
                 continue
-            if old.get("backend", "python") != new["backend"]:
-                continue  # e.g. the runner could not build the extension
             if old_calibration:
                 old_norm = old_rate / old_calibration
                 new_norm = new_rate / calibration
@@ -296,8 +243,7 @@ def test_bench_sim_throughput(tmp_path):
                 f"simulator throughput regressed beyond {margin:.0%}: "
                 f"{new_rate} uops/s (calibration {calibration}) vs committed "
                 f"{old_rate} uops/s (calibration {old_calibration}) "
-                f"({key}, backend {new['backend']}, "
-                f"{BENCH_UOPS}-uop ladder)")
+                f"({key}, {BENCH_UOPS}-uop ladder)")
 
     # Only the full-suite run rewrites the committed artefact; a scoped CI
     # smoke must not overwrite it with subset numbers.  The one-off pre-PR

@@ -41,7 +41,11 @@ def test_table1_baseline_config(benchmark):
     assert config.memory.main_memory_latency == 450
     assert config.scheduler.queue_size == 32
     assert config.scheduler.issue_width == 3
-    assert config.fp_scheduler.queue_size == 32
+    # The FP scheduler of Table 1 is the host cluster's FP-capable one.
+    host = config.cluster_topology().host
+    assert host.queue_size == 32
+    assert host.issue_width == 3
+    assert host.has_fp
     assert config.commit_width == 6
     assert not config.helper.enabled
 

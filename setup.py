@@ -1,82 +1,13 @@
-"""Build configuration.
+"""Build configuration: a pure-Python package under ``src/``.
 
-The only non-trivial piece is the *optional* C extension
-``repro._corekernel`` (the compiled simulator backend, see DESIGN.md,
-"Hot state & compiled core").  The package is pure python by contract:
-a missing compiler, missing Python headers or a failing compile must
-never break installation — the simulator transparently falls back to
-the pure-python backend (``REPRO_BACKEND`` selects explicitly).
-
-Build in place with::
-
-    python setup.py build_ext --inplace
-
-Sanitizer builds (the CI ASan/UBSan job, or local debugging of the
-PyCapsule buffer re-acquisition contract) are selected with::
-
-    REPRO_SANITIZE=address,undefined python setup.py build_ext --inplace
-
-which compiles and links the extension with ``-fsanitize=<list>``
-``-fno-omit-frame-pointer -g``.  Running the sanitized extension under a
-non-sanitized python requires preloading the ASan runtime, e.g.::
-
-    LD_PRELOAD="$(gcc -print-file-name=libasan.so)" \\
-    ASAN_OPTIONS=detect_leaks=0 \\
-    REPRO_BACKEND=compiled PYTHONPATH=src python -m pytest tests/test_event_wheel.py
+Nothing is compiled; ``PYTHONPATH=src python -m repro ...`` runs a checkout
+as it stands.
 """
 
-import os
-import warnings
-
-from setuptools import Extension, find_packages, setup
-from setuptools.command.build_ext import build_ext
-
-
-def sanitize_flags():
-    """(compile_args, link_args) from the REPRO_SANITIZE env knob."""
-    spec = os.environ.get("REPRO_SANITIZE", "").strip()
-    if not spec:
-        return [], []
-    sanitizers = ",".join(
-        part.strip() for part in spec.split(",") if part.strip())
-    flag = f"-fsanitize={sanitizers}"
-    return [flag, "-fno-omit-frame-pointer", "-g"], [flag]
-
-
-class OptionalBuildExt(build_ext):
-    """Build the accelerator extension if possible; never fail the build."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:
-            warnings.warn(
-                f"skipping optional C extension build ({exc!r}); "
-                f"the pure-python simulator backend will be used")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            warnings.warn(
-                f"skipping optional C extension {ext.name} ({exc!r}); "
-                f"the pure-python simulator backend will be used")
-
-
-_SAN_COMPILE, _SAN_LINK = sanitize_flags()
+from setuptools import find_packages, setup
 
 setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    ext_modules=[
-        Extension(
-            "repro._corekernel",
-            sources=["src/repro/_corekernel.c"],
-            extra_compile_args=_SAN_COMPILE,
-            extra_link_args=_SAN_LINK,
-            optional=True,
-        ),
-    ],
-    cmdclass={"build_ext": OptionalBuildExt},
 )

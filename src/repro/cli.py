@@ -35,7 +35,6 @@ re-runs).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import contextmanager
 from typing import List, Optional, Sequence
@@ -52,7 +51,6 @@ from repro.sim.experiment import (
     mixed_topology_point,
     run_spec_suite,
 )
-from repro.sim.hotstate import BACKEND_ENV, detected_backend
 from repro.sim.reporting import (
     cache_stats_line,
     format_energy_table,
@@ -68,13 +66,6 @@ from repro.sim.reporting import (
 from repro.trace.profiles import SPEC_INT_NAMES, get_profile
 from repro.trace.synthetic import generate_trace
 from repro.trace.workloads import WORKLOAD_CATEGORIES
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default=None,
-                        choices=["auto", "python", "compiled"],
-                        help="simulator backend (mirrors REPRO_BACKEND; "
-                             "results are bit-identical, only speed differs)")
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -100,7 +91,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "testing (repro.faultkit spec, e.g. "
                              "'seed=7,crash=0.2,hang=0.1'; mirrors "
                              "REPRO_FAULTS)")
-    _add_backend_flag(parser)
 
 
 def _runner_kwargs(args: argparse.Namespace) -> dict:
@@ -126,18 +116,16 @@ def _runner_kwargs(args: argparse.Namespace) -> dict:
 
 
 def _print_engine_footer(runner) -> None:
-    """Sweep-table footer: resolved backend, cache stats, worker clamp,
-    and — when anything supervision-worthy happened — the supervision line
-    (retries, timeouts, degraded backends, quarantined jobs, resume)."""
-    line = f"backend: {detected_backend()}"
+    """Sweep-table footer: cache stats or worker clamp, and — when anything
+    supervision-worthy happened — the supervision line (retries, timeouts,
+    quarantined jobs, resume)."""
     if runner.cache is not None:
-        line += " · " + cache_stats_line(runner.cache, runner.engine.trace_store,
-                                         engine=runner.engine)
+        print(cache_stats_line(runner.cache, runner.engine.trace_store,
+                               engine=runner.engine))
     elif runner.engine.jobs_clamped_from:
-        line += (f" · jobs={runner.engine.jobs} (clamped from "
-                 f"{runner.engine.jobs_clamped_from}: the host has "
-                 f"{runner.engine.jobs} usable CPU(s))")
-    print(line)
+        print(f"jobs={runner.engine.jobs} (clamped from "
+              f"{runner.engine.jobs_clamped_from}: the host has "
+              f"{runner.engine.jobs} usable CPU(s))")
     supervision = runner.report.summary_line()
     if supervision:
         print(supervision)
@@ -192,7 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           "top functions by cumulative time, 'timers' stamps "
                           "per-phase (dispatch/issue/writeback/commit) "
                           "wall-clock counters into the footer")
-    _add_backend_flag(run)
 
     ladder = sub.add_parser("ladder", help="run the cumulative policy ladder")
     ladder.add_argument("--benchmarks", nargs="*", default=None, choices=SPEC_INT_NAMES)
@@ -381,7 +368,6 @@ def _print_phase_footer(counters) -> None:
     print(format_table(["phase", "wall (ms)", "calls", "% of timed"], rows,
                        title="Per-phase wall clock (baseline + helper runs)",
                        float_format="{:.2f}"))
-    print(f"backend: {detected_backend()}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -428,7 +414,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         stats.strip_dirs().sort_stats("cumulative").print_stats(25)
         print()
         print(stream.getvalue().rstrip())
-        print(f"backend: {detected_backend()}")
     return 0
 
 
@@ -697,10 +682,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None):
-        # The flag literally mirrors the environment variable so the choice
-        # reaches every simulator construction, worker processes included.
-        os.environ[BACKEND_ENV] = args.backend
     return _COMMANDS[args.command](args)
 
 

@@ -268,7 +268,6 @@ class MachineConfig:
     #: Reorder buffer capacity (in-flight uops).
     rob_size: int = 128
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    fp_scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     trace_cache: TraceCacheConfig = field(default_factory=TraceCacheConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
@@ -380,7 +379,6 @@ class MachineConfig:
             "commit_width": self.commit_width,
             "rob_size": self.rob_size,
             "scheduler": asdict(self.scheduler),
-            "fp_scheduler": asdict(self.fp_scheduler),
             "memory": asdict(self.memory),
             "trace_cache": asdict(self.trace_cache),
             "predictor": asdict(self.predictor),

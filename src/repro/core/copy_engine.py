@@ -12,30 +12,14 @@ when a copy is needed, implements load replication (§3.4: narrow loads write
 their result into both clusters through the shared MOB) and copy prefetching
 (§3.6: generate the copy at the producer, predicted by the CP bit, instead of
 waiting for the consumer).
-
-Storage is struct-of-arrays value *lanes* (see DESIGN.md, "Hot state &
-compiled core"): per-value state lives in flat ``array`` columns indexed by
-``value_uid * num_domains + domain``.  Trace uids are dense (the uop builder
-assigns them sequentially), so the lanes grow geometrically with the highest
-uid touched and every per-source probe in the simulator's dependence
-resolution is straight index arithmetic — which is also the layout the
-compiled ``resolve_deps`` kernel operates on.  Dict-insertion-order
-semantics of the old uid-keyed maps are preserved by an explicit
-first-arrival stamp per lane (``avail_order_lanes``): the recovery-migration
-path of dependence resolution picks its copy-source cluster in value-arrival
-order, exactly as iterating the old per-uid dict did.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.pipeline.clocking import ClockDomain
-
-#: Initial lane capacity in value uids; doubles as higher uids are touched.
-_INITIAL_UIDS = 1024
 
 
 @dataclass(slots=True)
@@ -90,84 +74,26 @@ class CopyEngine:
         if num_domains < 1:
             raise ValueError("a machine has at least one cluster")
         self.num_domains = num_domains
-        cap = _INITIAL_UIDS
-        self.cap_uids = cap
-        lanes = cap * num_domains
-        #: Public *live views* of the value lanes (REP003 contract): the
-        #: simulator's dependence-resolution fast path and the compiled
-        #: ``resolve_deps`` kernel index these arrays directly by
-        #: ``value_uid * num_domains + domain``.  They alias the engine's
-        #: storage for its whole lifetime — mutate only through the engine's
-        #: methods (or the documented hot-state resolve sequence in
-        #: :mod:`repro.sim.simulator`).
-        #: fast cycle at which the value is available in the lane's domain
-        #: (-1 = not there)
-        self.avail_lanes = array("q", b"\xff" * (8 * lanes))
-        #: first-arrival stamp per lane; reproduces the old per-uid dict's
-        #: insertion order when picking a migration copy source
-        self.avail_order_lanes = array("q", bytes(8 * lanes))
-        #: number of domains each value is (or will be) available in
-        self.avail_count_lanes = array("q", bytes(8 * cap))
-        #: 1 while a copy is in flight toward the lane's domain
-        self.pending_lanes = array("b", bytes(lanes))
-        #: 1 while a prefetched copy toward the lane's domain is unconsumed
-        self.prefetched_lanes = array("b", bytes(lanes))
-        #: 1 once the value incurred a demand copy (or a consumed prefetch);
-        #: trains the CP bit at the producer's commit (§3.6)
-        self.copied_lanes = array("b", bytes(cap))
-        #: hot-path counters the resolve kernel increments directly;
-        #: index 0 = useful prefetches (folded into :attr:`stats` by
-        #: :meth:`sync_stats`), index 1 = number of set bits in
-        #: ``prefetched_lanes`` (live, exposed as :attr:`prefetched_active`)
-        self.stat_lanes = array("q", bytes(16))
-        #: monotonic first-arrival counter behind ``avail_order_lanes``
-        self._order_counter = 0
+        #: value_uid -> {domain: fast cycle at which the value is available there}
+        self._availability: Dict[int, Dict[ClockDomain, int]] = {}
+        #: value_uid -> domain of a copy already in flight toward that domain
+        self._pending: Dict[int, set] = {}
+        #: Public live views for the simulator's per-dependence fast path
+        #: (one dict probe instead of a method call per source operand).
+        #: They alias the internal maps for the engine's lifetime — mutate
+        #: only through the engine's methods.
+        self.availability_map = self._availability
+        self.pending_map = self._pending
         self.stats = CopyStats()
-
-    # ------------------------------------------------------------------ lanes
-    def _ensure(self, value_uid: int) -> None:
-        """Grow the lanes so ``value_uid`` is indexable."""
-        cap = self.cap_uids
-        if value_uid < cap:
-            return
-        new_cap = cap
-        while value_uid >= new_cap:
-            new_cap *= 2
-        grow = new_cap - cap
-        D = self.num_domains
-        self.avail_lanes.extend(array("q", b"\xff" * (8 * grow * D)))
-        self.avail_order_lanes.extend(array("q", bytes(8 * grow * D)))
-        self.avail_count_lanes.extend(array("q", bytes(8 * grow)))
-        self.pending_lanes.extend(bytes(grow * D))
-        self.prefetched_lanes.extend(bytes(grow * D))
-        self.copied_lanes.extend(bytes(grow))
-        self.cap_uids = new_cap
-
-    @property
-    def prefetched_active(self) -> int:
-        """Number of unconsumed prefetched-copy bits (stat lane 1)."""
-        return self.stat_lanes[1]
-
-    @prefetched_active.setter
-    def prefetched_active(self, value: int) -> None:
-        self.stat_lanes[1] = value
-
-    def sync_stats(self) -> None:
-        """Fold the kernel-visible counters into :attr:`stats`."""
-        self.stats.useful_prefetches += self.stat_lanes[0]
-        self.stat_lanes[0] = 0
 
     # --------------------------------------------------------------- tracking
     def note_produced(self, value_uid: int, domain: ClockDomain,
                       ready_cycle: int) -> None:
         """Record that ``value_uid`` will be available in ``domain`` at ``ready_cycle``."""
-        self._ensure(value_uid)
-        lane = value_uid * self.num_domains + domain
-        if self.avail_lanes[lane] < 0:
-            self.avail_count_lanes[value_uid] += 1
-            self.avail_order_lanes[lane] = self._order_counter
-            self._order_counter += 1
-        self.avail_lanes[lane] = ready_cycle
+        slots = self._availability.get(value_uid)
+        if slots is None:
+            slots = self._availability[value_uid] = {}
+        slots[domain] = ready_cycle
 
     def note_replicated(self, value_uid: int, ready_cycle: int,
                         extra_latency: int = 0) -> None:
@@ -176,73 +102,51 @@ class CopyEngine:
         The replicas become available ``extra_latency`` fast cycles after the
         primary (register-file write port scheduling).
         """
-        self._ensure(value_uid)
-        D = self.num_domains
-        base_lane = value_uid * D
-        avail = self.avail_lanes
-        for domain in range(D):
-            if avail[base_lane + domain] >= 0:
+        slots = self._availability.setdefault(value_uid, {})
+        for domain in range(self.num_domains):
+            if domain in slots:
                 continue
-            base = ready_cycle
-            filled = False
-            for d in range(D):
-                cycle = avail[base_lane + d]
-                if cycle >= 0 and (not filled or cycle < base):
-                    base = cycle
-                    filled = True
-            cycle = (base if base > ready_cycle else ready_cycle) + extra_latency
-            self.note_produced(value_uid, domain, cycle)
+            base = min(slots.values()) if slots else ready_cycle
+            slots[domain] = max(base, ready_cycle) + extra_latency
         self.stats.replicated_loads += 1
 
     def availability(self, value_uid: int, domain: ClockDomain) -> Optional[int]:
         """Fast cycle at which the value is available in ``domain`` (None = not there)."""
-        if value_uid >= self.cap_uids or value_uid < 0:
-            return None
-        cycle = self.avail_lanes[value_uid * self.num_domains + domain]
-        return None if cycle < 0 else cycle
+        slots = self._availability.get(value_uid)
+        return None if slots is None else slots.get(domain)
 
     def domains_available(self, value_uid: int) -> list:
-        """Clusters in which the value is (or will be) available, in
-        first-arrival order (the old per-uid dict's insertion order)."""
-        if value_uid >= self.cap_uids or value_uid < 0:
-            return []
-        D = self.num_domains
-        base = value_uid * D
-        avail = self.avail_lanes
-        order = self.avail_order_lanes
-        present = [d for d in range(D) if avail[base + d] >= 0]
-        present.sort(key=lambda d: order[base + d])
-        return present
+        """Clusters in which the value is (or will be) available."""
+        slots = self._availability.get(value_uid)
+        return [] if slots is None else list(slots)
 
     def available_anywhere(self, value_uid: int) -> bool:
-        return (0 <= value_uid < self.cap_uids
-                and self.avail_count_lanes[value_uid] > 0)
+        return value_uid in self._availability
 
     # ------------------------------------------------------------------ copies
     def needs_copy(self, value_uid: int, to_domain: ClockDomain) -> bool:
         """True if the value is not (and will not be) available in ``to_domain``."""
-        if not self.available_anywhere(value_uid):
+        slots = self._availability.get(value_uid)
+        if slots is None:
             # Unknown value (e.g. architectural live-in): treat as available
             # everywhere — live-ins are committed state visible to both
             # register files.
             return False
-        lane = value_uid * self.num_domains + to_domain
-        if self.avail_lanes[lane] >= 0:
+        if to_domain in slots:
             return False
-        return not self.pending_lanes[lane]
+        pending = self._pending.get(value_uid)
+        return pending is None or to_domain not in pending
 
     def copy_in_flight(self, value_uid: int, to_domain: ClockDomain) -> bool:
-        if value_uid >= self.cap_uids or value_uid < 0:
-            return False
-        return bool(self.pending_lanes[value_uid * self.num_domains + to_domain])
+        pending = self._pending.get(value_uid)
+        return pending is not None and to_domain in pending
 
     def request_copy(self, value_uid: int, from_domain: ClockDomain,
                      to_domain: ClockDomain, prefetch: bool = False) -> CopyRequest:
         """Create a copy request and record it as pending."""
         if from_domain == to_domain:
             raise ValueError("copy source and destination clusters must differ")
-        self._ensure(value_uid)
-        self.pending_lanes[value_uid * self.num_domains + to_domain] = 1
+        self._pending.setdefault(value_uid, set()).add(to_domain)
         self.stats.copies_generated += 1
         if prefetch:
             self.stats.prefetched_copies += 1
@@ -254,8 +158,11 @@ class CopyEngine:
     def complete_copy(self, request: CopyRequest, ready_cycle: int) -> None:
         """Mark a copy as delivered: the value is now available in the target cluster."""
         self.note_produced(request.value_uid, request.to_domain, ready_cycle)
-        self.pending_lanes[
-            request.value_uid * self.num_domains + request.to_domain] = 0
+        pending = self._pending.get(request.value_uid)
+        if pending is not None:
+            pending.discard(request.to_domain)
+            if not pending:
+                del self._pending[request.value_uid]
 
     def cancel_copy(self, request: CopyRequest) -> None:
         """Abandon an in-flight copy (e.g. squashed by flushing recovery).
@@ -263,9 +170,11 @@ class CopyEngine:
         Clears the pending marker without publishing any availability, so a
         later consumer can regenerate the copy if it is still needed.
         """
-        if request.value_uid < self.cap_uids:
-            self.pending_lanes[
-                request.value_uid * self.num_domains + request.to_domain] = 0
+        pending = self._pending.get(request.value_uid)
+        if pending is not None:
+            pending.discard(request.to_domain)
+            if not pending:
+                del self._pending[request.value_uid]
 
     def note_prefetch_useful(self) -> None:
         """A consumer actually used a prefetched copy (CP accuracy accounting)."""
@@ -275,48 +184,14 @@ class CopyEngine:
         """A copy that would have been generated was avoided by replication."""
         self.stats.copies_avoided_by_replication += 1
 
-    # --------------------------------------------------- prefetch/CP bookkeeping
-    def mark_prefetched(self, value_uid: int, to_domain: ClockDomain) -> None:
-        """Record an in-flight prefetched copy toward ``to_domain``."""
-        self._ensure(value_uid)
-        lane = value_uid * self.num_domains + to_domain
-        if not self.prefetched_lanes[lane]:
-            self.prefetched_lanes[lane] = 1
-            self.prefetched_active += 1
-
-    def mark_copied(self, value_uid: int) -> None:
-        """Record that the value incurred a demand copy (CP training, §3.6)."""
-        self._ensure(value_uid)
-        self.copied_lanes[value_uid] = 1
-
-    def was_copied(self, value_uid: int) -> bool:
-        return (0 <= value_uid < self.cap_uids
-                and bool(self.copied_lanes[value_uid]))
-
     # ----------------------------------------------------------------- cleanup
     def retire_value(self, value_uid: int) -> None:
         """Drop tracking state once the producing uop has committed and its
         consumers have all dispatched (the simulator calls this lazily)."""
-        if value_uid >= self.cap_uids or value_uid < 0:
-            return
-        D = self.num_domains
-        base = value_uid * D
-        if self.avail_count_lanes[value_uid]:
-            self.avail_count_lanes[value_uid] = 0
-            for d in range(D):
-                self.avail_lanes[base + d] = -1
-        for d in range(D):
-            self.pending_lanes[base + d] = 0
+        self._availability.pop(value_uid, None)
+        self._pending.pop(value_uid, None)
 
     def reset(self) -> None:
-        lanes = self.cap_uids * self.num_domains
-        self.avail_lanes[:] = array("q", b"\xff" * (8 * lanes))
-        self.avail_order_lanes[:] = array("q", bytes(8 * lanes))
-        self.avail_count_lanes[:] = array("q", bytes(8 * self.cap_uids))
-        self.pending_lanes[:] = array("b", bytes(lanes))
-        self.prefetched_lanes[:] = array("b", bytes(lanes))
-        self.copied_lanes[:] = array("b", bytes(self.cap_uids))
-        self.stat_lanes[0] = 0
-        self.stat_lanes[1] = 0
-        self._order_counter = 0
+        self._availability.clear()
+        self._pending.clear()
         self.stats = CopyStats()

@@ -29,7 +29,7 @@ Fault kinds
 -----------
 ``crash``
     The worker kills itself with ``SIGKILL`` mid-job — the closest stand-in
-    for a compiled-backend segfault.  Serial (in-process) execution maps it
+    for a worker segfault.  Serial (in-process) execution maps it
     to a raised :class:`InjectedFault` instead, because killing the parent
     is not a recoverable scenario.
 ``hang``
@@ -121,10 +121,6 @@ class FaultPlan:
     #: ``kind@token-substring`` entries that fire on every attempt,
     #: ``;``-separated in the env spec (e.g. ``sticky=crash@gcc:ir``)
     sticky: Tuple[str, ...] = ()
-    #: restrict job faults to attempts running the compiled backend — the
-    #: "compiled-backend bug" scenario whose retry the degradation ladder
-    #: (compiled -> python) must absorb
-    compiled_only: bool = False
     #: how long a "hang" sleeps; the supervisor deadline decides its fate
     hang_delay: float = 30.0
     #: how long a "slow" fault delays a job that then completes normally
@@ -162,8 +158,6 @@ class FaultPlan:
                                     if entry.strip())
             elif key in ("seed", "max_attempt", "interrupt_after", "attempts"):
                 kwargs[key] = int(value)
-            elif key == "compiled_only":
-                kwargs[key] = value.strip().lower() in ("1", "true", "yes")
             else:
                 kwargs[key] = float(value)
         return cls(**kwargs)
@@ -184,8 +178,6 @@ class FaultPlan:
                 continue
             if f.name == "sticky":
                 parts.append(f"sticky={';'.join(value)}")
-            elif f.name == "compiled_only":
-                parts.append("compiled_only=1")
             else:
                 parts.append(f"{f.name}={value}")
         return ",".join(parts)
@@ -235,32 +227,23 @@ class FaultPlan:
 # worker-side injection
 # ---------------------------------------------------------------------------
 def maybe_inject(plan: Optional[FaultPlan], token: str, attempt: int,
-                 backend: Optional[str], in_worker: bool = True) -> None:
+                 in_worker: bool = True) -> None:
     """Apply the planned fault for (token, attempt), if any.
 
-    Called at the top of a job execution.  ``backend`` is the backend this
-    attempt will run (None = inherit the process default); with
-    ``compiled_only`` set, faults spare attempts that resolve to the pure
-    python backend — that is the degradation contract under test.  Serial
-    callers pass ``in_worker=False``: a crash cannot be injected without
-    killing the campaign itself, so it (and a hang, which nothing could
-    interrupt in-process) degrade to an :class:`InjectedFault`.
+    Called at the top of a job execution.  Serial callers pass
+    ``in_worker=False``: a crash cannot be injected without killing the
+    campaign itself, so it (and a hang, which nothing could interrupt
+    in-process) become an :class:`InjectedFault`.
     """
     if plan is None:
         return
     kind = plan.fault_for(token, attempt)
     if kind is None:
         return
-    if plan.compiled_only:
-        from repro.sim.hotstate import detected_backend
-
-        effective = backend or detected_backend()
-        if effective != "compiled":
-            return
     if kind == "crash":
         if in_worker:
             # The satellite scenario verbatim: the worker is SIGKILLed
-            # mid-job, exactly as a segfaulting C kernel would die.
+            # mid-job, exactly as a segfaulting worker would die.
             os.kill(os.getpid(), signal.SIGKILL)
         raise InjectedFault(f"injected crash (serial) for {token}")
     if kind == "hang":

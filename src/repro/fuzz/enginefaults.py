@@ -6,7 +6,7 @@ answer.  Each case layers a random-but-seeded :class:`~repro.faultkit.
 FaultPlan` (worker crashes, hangs, transient exceptions, latency noise,
 cache/trace corruption) over a small sweep run through the supervised
 engine, and compares every surviving job's result against a fault-free
-serial ground truth: supervision may retry, degrade, respawn and quarantine,
+serial ground truth: supervision may retry, respawn and quarantine,
 but a result it *does* deliver must be identical to the one an undisturbed
 run computes.  A quarantined job (its planned faults exhausted every
 attempt) is a legitimate outcome — it just has to be absent from the

@@ -1,10 +1,9 @@
 """Differential co-simulation, shrinking and campaign driving.
 
-:func:`run_case` is the property under test: the event wheel (pure-python
-backend), the compiled-kernel event wheel (when :mod:`repro._corekernel` is
-importable) and the ``REPRO_REFERENCE_LOOP=1`` per-cycle loop must produce
-pickle-identical :class:`~repro.sim.metrics.SimulationResult`\\ s for every
-valid case, all sides must satisfy the standalone invariants of
+:func:`run_case` is the property under test: the event wheel and the
+``REPRO_REFERENCE_LOOP=1`` per-cycle loop must produce pickle-identical
+:class:`~repro.sim.metrics.SimulationResult`\\ s for every valid case, both
+sides must satisfy the standalone invariants of
 :mod:`repro.fuzz.invariants`, and the result/trace caches must round-trip
 the run under a stable key.
 
@@ -43,7 +42,6 @@ from repro.fuzz.generate import (
 )
 from repro.fuzz.invariants import CommitOrderRecorder, check_result_invariants
 from repro.sim.cache import ResultCache, canonical_text, result_key
-from repro.sim.hotstate import compiled_available
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import HelperClusterSimulator
 from repro.trace.profiles import SPEC_INT_NAMES, get_profile
@@ -72,9 +70,6 @@ class CaseReport:
     failures: List[str] = field(default_factory=list)
     wheel: Optional[SimulationResult] = None
     reference: Optional[SimulationResult] = None
-    #: event-wheel run under the compiled backend; None when the
-    #: repro._corekernel extension is not importable (two-way co-sim only)
-    compiled: Optional[SimulationResult] = None
     elapsed: float = 0.0
 
     @property
@@ -83,19 +78,14 @@ class CaseReport:
 
 
 def _simulate(case: FuzzCase, trace: Trace, config, reference_loop: bool,
-              failures: List[str],
-              backend: str = "python") -> Optional[SimulationResult]:
-    """Run one side of the differential set, folding crashes into failures."""
-    if reference_loop:
-        side = "reference loop"
-    else:
-        side = f"event wheel[{backend}]"
+              failures: List[str]) -> Optional[SimulationResult]:
+    """Run one side of the differential pair, folding crashes into failures."""
+    side = "reference loop" if reference_loop else "event wheel"
     recorder = CommitOrderRecorder(config.commit_width)
     try:
         sim = HelperClusterSimulator(trace, config=config,
                                      policy=case.policy.build(),
-                                     reference_loop=reference_loop,
-                                     backend=backend)
+                                     reference_loop=reference_loop)
         sim.commit_hook = recorder
         result = sim.run()
     except Exception as exc:  # noqa: BLE001 — any crash is a finding
@@ -109,17 +99,15 @@ def _simulate(case: FuzzCase, trace: Trace, config, reference_loop: bool,
     return result
 
 
-def _describe_divergence(left_result: SimulationResult,
-                         right_result: SimulationResult,
-                         left_name: str = "wheel",
-                         right_name: str = "reference") -> str:
-    """Name the result fields on which the two cores disagree."""
+def _describe_divergence(wheel: SimulationResult,
+                         reference: SimulationResult) -> str:
+    """Name the result fields on which the two loops disagree."""
     diffs = []
     for f in dataclasses.fields(SimulationResult):
-        a, b = getattr(left_result, f.name), getattr(right_result, f.name)
+        a, b = getattr(wheel, f.name), getattr(reference, f.name)
         if pickle.dumps(a) != pickle.dumps(b):
-            left, right = repr(a)[:80], repr(b)[:80]
-            diffs.append(f"{f.name}: {left_name}={left} {right_name}={right}")
+            diffs.append(f"{f.name}: wheel={repr(a)[:80]} "
+                         f"reference={repr(b)[:80]}")
     if not diffs:
         return "results pickle differently but no field compares unequal"
     return "; ".join(diffs)
@@ -175,12 +163,8 @@ def _check_stores(case: FuzzCase, trace: Trace, config,
 
 
 def run_case(case: FuzzCase, check_stores: bool = True) -> CaseReport:
-    """Co-simulate ``case`` through every core and check every property.
-
-    Always runs the python event wheel against the per-cycle reference
-    loop; when the compiled backend is importable the case is additionally
-    run through the compiled event wheel, making it a three-way net.
-    """
+    """Co-simulate ``case`` through the event wheel and the per-cycle
+    reference loop and check every property."""
     started = time.perf_counter()
     report = CaseReport(case=case)
     failures = report.failures
@@ -200,15 +184,6 @@ def run_case(case: FuzzCase, check_stores: bool = True) -> CaseReport:
             failures.append("event wheel and reference loop diverged: "
                             + _describe_divergence(report.wheel,
                                                    report.reference))
-    if compiled_available():
-        report.compiled = _simulate(case, trace, config, False, failures,
-                                    backend="compiled")
-        if report.compiled is not None and report.wheel is not None:
-            if pickle.dumps(report.compiled) != pickle.dumps(report.wheel):
-                failures.append(
-                    "compiled and python event wheels diverged: "
-                    + _describe_divergence(report.compiled, report.wheel,
-                                           "compiled", "python"))
     if check_stores and report.wheel is not None:
         _check_stores(case, trace, config, report.wheel, failures)
     report.elapsed = time.perf_counter() - started

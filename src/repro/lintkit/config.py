@@ -99,28 +99,12 @@ def default_config(root: Optional[Path] = None) -> LintConfig:
         },
         live_view_modules=[
             "src/repro/sim/simulator.py",
-            "src/repro/sim/hotstate.py",
         ],
         live_view_aliases={
             "IssueQueue": ("src/repro/pipeline/scheduler.py",
-                           ["entries", "ready_entries", "free_stack"]),
-            # SoA value lanes (uid*num_domains+domain indexed) read directly
-            # by the dependence-resolution fast path and the compiled
-            # resolve_deps kernel.
+                           ["entries", "ready_entries"]),
             "CopyEngine": ("src/repro/core/copy_engine.py",
-                           ["avail_lanes", "avail_order_lanes",
-                            "avail_count_lanes", "pending_lanes",
-                            "prefetched_lanes", "copied_lanes",
-                            "stat_lanes"]),
-            # Per-uop SoA columns of the dispatch chain; the compiled
-            # kernels re-derive lane bounds from these buffers' lengths.
-            "DynTable": ("src/repro/sim/hotstate.py",
-                         ["seq", "domain", "flags", "value_uid", "pnarrow",
-                          "kindcol", "opcode", "unit"]),
-            "WaiterPool": ("src/repro/sim/hotstate.py",
-                           ["node_dyn", "node_next", "value_heads",
-                            "value_tails", "chunk_heads", "chunk_tails",
-                            "ctrl"]),
+                           ["availability_map", "pending_map"]),
             "ReorderBuffer": ("src/repro/pipeline/rob.py", ["by_uid"]),
             "RenameTable": ("src/repro/pipeline/rename.py", ["table"]),
             "ImbalanceMonitor": ("src/repro/core/imbalance.py",
@@ -129,12 +113,10 @@ def default_config(root: Optional[Path] = None) -> LintConfig:
         },
         hot_loop_files=[
             "src/repro/sim/simulator.py",
-            "src/repro/sim/hotstate.py",
             "src/repro/pipeline/scheduler.py",
         ],
         semantic_module_globs=[
             "src/repro/sim/simulator.py",
-            "src/repro/sim/hotstate.py",
             "src/repro/pipeline/*.py",
             "src/repro/core/*.py",
             "src/repro/isa/*.py",
@@ -145,7 +127,6 @@ def default_config(root: Optional[Path] = None) -> LintConfig:
             "src/repro/trace/slicing.py",
             "src/repro/trace/trace.py",
             "src/repro/trace/profiles.py",
-            "src/repro/_corekernel.c",
         ],
         fingerprint_path=root / "src/repro/lintkit/fingerprints.json",
         version_source=("src/repro/sim/cache.py", "SIMULATOR_VERSION"),

@@ -2,7 +2,7 @@
 
 Functions on the per-uop path are tagged with a ``# hot-path`` comment on
 (or immediately above) their ``def`` line in ``simulator.py`` /
-``hotstate.py`` / ``scheduler.py``.  Inside a tagged body, the rule bans
+``scheduler.py``.  Inside a tagged body, the rule bans
 the allocation patterns that dominated the PR 5/PR 7 profiles:
 
 * comprehensions and generator expressions (each builds a fresh object

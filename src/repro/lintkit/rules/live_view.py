@@ -6,7 +6,7 @@ through *public live-view aliases* (``IssueQueue.entries``,
 owning class publishes deliberately.  Reaching into another object's
 underscore-private attributes from a hot module bypasses that contract —
 it couples the simulator to representation details the owner is free to
-change (and that the compiled backend does change).
+change.
 
 Two passes:
 

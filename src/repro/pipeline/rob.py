@@ -3,30 +3,18 @@
 The ROB bounds the number of in-flight uops and retires them in program order
 at up to ``commit_width`` per wide-cluster cycle.  Commit happens in the wide
 clock domain regardless of which cluster executed the uop.
-
-Storage is a struct-of-arrays ring (see DESIGN.md, "Hot state & compiled
-core"): uid, sequence number and completion state live in preallocated
-parallel ``array('q')`` columns indexed by ring slot, with the simulator's
-payload objects in a parallel list.  :class:`ROBEntry` objects are only
-materialised for the entries a :meth:`ReorderBuffer.commit` call retires —
-the in-flight window itself is plain index arithmetic, which is also what
-the compiled backend's commit-scan kernel operates on.
 """
 
 from __future__ import annotations
 
-from array import array
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
-
-#: ``state`` column values: an entry is retirable when bit 0 is set.
-_STATE_COMPLETED = 1
-_STATE_SQUASHED = 3          # squashed implies completed (retired as a bubble)
+from typing import Deque, Dict, List, Optional
 
 
 @dataclass(slots=True)
 class ROBEntry:
-    """One reorder-buffer entry (materialised at retirement)."""
+    """One reorder-buffer entry."""
 
     uid: int
     seq: int
@@ -43,88 +31,48 @@ class ReorderBuffer:
             raise ValueError("ROB size and commit width must be positive")
         self.size = size
         self.commit_width = commit_width
-        # ---- struct-of-arrays ring storage ------------------------------
-        #: uid per ring slot
-        self.uid_ring = array("q", bytes(8 * size))
-        #: program-order sequence number per ring slot
-        self.seq_ring = array("q", bytes(8 * size))
-        #: completion state per ring slot (see ``_STATE_*``)
-        self.state_ring = array("q", bytes(8 * size))
-        #: dyn slot (DynTable index) per ring slot, -1 when the payload is
-        #: not a simulator dyn record; the compiled ``resolve_deps`` kernel
-        #: resolves producer clusters through it
-        self.dyn_ring = array("q", b"\xff" * (8 * size))
-        #: simulator payload per ring slot (None when the slot is free)
-        self.payload_ring: List[object] = [None] * size
-        #: ring control block shared with the compiled dispatch kernel:
-        #: slot 0 = head index, slot 1 = occupancy count
-        self.ctrl = array("q", bytes(16))
-        self._by_uid: dict[int, int] = {}
-        #: Public live view of the uid index, mapping uid -> ring slot (the
+        self._entries: Deque[ROBEntry] = deque()
+        self._by_uid: Dict[int, ROBEntry] = {}
+        #: Public live view of the uid index, mapping uid -> entry (the
         #: simulator resolves producer clusters per source operand through
-        #: it, reading ``payload_ring[slot]`` / ``seq_ring[slot]``).
-        #: Aliases the internal dict for the buffer's lifetime — mutate only
-        #: through the buffer's methods.
+        #: it, reading the entry's ``payload`` / ``seq``).  Aliases the
+        #: internal dict for the buffer's lifetime — mutate only through the
+        #: buffer's methods.
         self.by_uid = self._by_uid
         self.committed = 0
-        #: optional compiled commit-scan kernel, bound by
-        #: :meth:`repro.sim.hotstate.HotState.bind_kernel`
-        self._scan_kernel = None
-        self._scan_state = None
-
-    def bind_scan_kernel(self, kernel_fn, cstate) -> None:
-        """Route :meth:`commit_scan` through a compiled kernel."""
-        self._scan_kernel = kernel_fn
-        self._scan_state = cstate
 
     # --------------------------------------------------------------- capacity
-    @property
-    def _head(self) -> int:
-        return self.ctrl[0]
-
-    @property
-    def _count(self) -> int:
-        return self.ctrl[1]
-
     def __len__(self) -> int:
-        return self.ctrl[1]
+        return len(self._entries)
 
     @property
     def free_slots(self) -> int:
-        return self.size - self.ctrl[1]
+        return self.size - len(self._entries)
 
     def is_full(self) -> bool:
-        return self.ctrl[1] >= self.size
+        return len(self._entries) >= self.size
 
     def is_empty(self) -> bool:
-        return self.ctrl[1] == 0
+        return not self._entries
 
     # ---------------------------------------------------------------- allocate
-    def allocate(self, uid: int, seq: int, payload: object = None,
-                 dyn_slot: int = -1) -> None:
+    def allocate(self, uid: int, seq: int, payload: object = None) -> ROBEntry:
         """Allocate an entry at the tail.  Raises if the ROB is full."""
-        ctrl = self.ctrl
-        count = ctrl[1]
-        if count >= self.size:
+        entries = self._entries
+        if len(entries) >= self.size:
             raise RuntimeError("ROB full")
-        head = ctrl[0]
-        size = self.size
-        if count and seq <= self.seq_ring[(head + count - 1) % size]:
+        if entries and seq <= entries[-1].seq:
             raise ValueError("ROB allocations must be in program order")
-        slot = (head + count) % size
-        self.uid_ring[slot] = uid
-        self.seq_ring[slot] = seq
-        self.state_ring[slot] = 0
-        self.dyn_ring[slot] = dyn_slot
-        self.payload_ring[slot] = payload
-        self._by_uid[uid] = slot
-        ctrl[1] = count + 1
+        entry = ROBEntry(uid=uid, seq=seq, payload=payload)
+        entries.append(entry)
+        self._by_uid[uid] = entry
+        return entry
 
     # ---------------------------------------------------------------- complete
     def mark_completed(self, uid: int) -> None:
-        slot = self._by_uid.get(uid)
-        if slot is not None:
-            self.state_ring[slot] |= _STATE_COMPLETED
+        entry = self._by_uid.get(uid)
+        if entry is not None:
+            entry.completed = True
 
     def mark_squashed(self, uid: int) -> None:
         """Squashed entries still occupy their slot until commit drains them.
@@ -132,78 +80,40 @@ class ReorderBuffer:
         The flushing recovery re-executes the squashed work in the wide
         cluster under a new uid; the original entry is retired as a bubble.
         """
-        slot = self._by_uid.get(uid)
-        if slot is not None:
-            self.state_ring[slot] = _STATE_SQUASHED
+        entry = self._by_uid.get(uid)
+        if entry is not None:
+            entry.squashed = True
+            entry.completed = True
 
     def is_completed(self, uid: int) -> bool:
-        slot = self._by_uid.get(uid)
-        return slot is not None and bool(self.state_ring[slot] & _STATE_COMPLETED)
+        entry = self._by_uid.get(uid)
+        return entry is not None and entry.completed
 
     # ------------------------------------------------------------------ commit
-    def commit_scan(self) -> int:
-        """Number of contiguous completed head entries retirable this cycle."""
-        ctrl = self.ctrl
-        if self._scan_kernel is not None:
-            return self._scan_kernel(self._scan_state, ctrl[0], ctrl[1])
-        head = ctrl[0]
-        count = ctrl[1]
-        size = self.size
-        state = self.state_ring
-        limit = count if count < self.commit_width else self.commit_width
-        retirable = 0
-        while retirable < limit and state[(head + retirable) % size] & 1:
-            retirable += 1
-        return retirable
-
-    def commit(self, retirable: Optional[int] = None) -> List[ROBEntry]:
-        """Retire up to ``commit_width`` completed entries from the head.
-
-        ``retirable`` may be passed by callers that already ran
-        :meth:`commit_scan` (the compiled backend does); it must equal what
-        the scan would return.
-        """
-        if retirable is None:
-            retirable = self.commit_scan()
-        if retirable == 0:
+    def commit(self) -> List[ROBEntry]:
+        """Retire up to ``commit_width`` completed entries from the head."""
+        entries = self._entries
+        if not entries or not entries[0].completed:
             return []
-        ctrl = self.ctrl
-        head = ctrl[0]
-        size = self.size
-        uid_ring = self.uid_ring
-        seq_ring = self.seq_ring
-        state_ring = self.state_ring
-        payload_ring = self.payload_ring
         by_uid = self._by_uid
         retired: List[ROBEntry] = []
-        committed = 0
-        for i in range(retirable):
-            slot = (head + i) % size
-            uid = uid_ring[slot]
-            squashed = state_ring[slot] == _STATE_SQUASHED
-            retired.append(ROBEntry(uid=uid, seq=seq_ring[slot],
-                                    completed=True, squashed=squashed,
-                                    payload=payload_ring[slot]))
-            payload_ring[slot] = None
-            del by_uid[uid]
-            if not squashed:
-                committed += 1
-        self.committed += committed
-        ctrl[0] = (head + retirable) % size
-        ctrl[1] -= retirable
+        width = self.commit_width
+        while entries and entries[0].completed and len(retired) < width:
+            head = entries.popleft()
+            del by_uid[head.uid]
+            retired.append(head)
+            if not head.squashed:
+                self.committed += 1
         return retired
 
     def head_seq(self) -> Optional[int]:
         """Sequence number of the oldest in-flight uop (None when empty)."""
-        ctrl = self.ctrl
-        return self.seq_ring[ctrl[0]] if ctrl[1] else None
+        return self._entries[0].seq if self._entries else None
 
     def occupancy(self) -> int:
-        return self.ctrl[1]
+        return len(self._entries)
 
     def reset(self) -> None:
-        self.ctrl[0] = 0
-        self.ctrl[1] = 0
-        self.payload_ring[:] = [None] * self.size
+        self._entries.clear()
         self._by_uid.clear()
         self.committed = 0

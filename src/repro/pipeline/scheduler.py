@@ -13,15 +13,6 @@ a stable oldest-first sort over the whole queue: ties on the sequence number
 are broken by dispatch (insertion) order, tracked with a monotonically
 increasing counter.
 
-Storage is struct-of-arrays (see DESIGN.md, "Hot state & compiled core"):
-entry state lives in preallocated parallel ``array('q')`` columns keyed by a
-small integer *slot*, with :class:`IssueQueueEntry` objects kept only as
-carriers in the ``payloads`` column.  The arrays are authoritative for the
-outstanding-source count and the age key while an entry is queued; every
-path that hands an entry back out (``select`` / ``flush_from`` / ``drain``)
-writes the current array state back into the object first.  The compiled
-backend (:mod:`repro.sim.hotstate`) operates directly on the same columns.
-
 The issue queue also exposes the occupancy and ready-but-not-issued counts
 that the NREADY load-imbalance metric (§3.7) and the IR splitting heuristic
 consume.
@@ -29,16 +20,9 @@ consume.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional
-
-#: Bits reserved for the dispatch-order stamp inside the packed age key.
-#: ``agekey = (seq << ORDER_BITS) | order`` sorts exactly like the tuple
-#: ``(seq, order)`` as long as ``seq < 2**31`` and ``order < 2**32`` —
-#: both far beyond any trace the harness generates (the packed key stays
-#: below 2**63, so it fits a signed 64-bit array element).
-ORDER_BITS = 32
 
 
 @dataclass(slots=True)
@@ -48,7 +32,9 @@ class IssueQueueEntry:
     uid: int
     seq: int                      # program order sequence number (age)
     remaining_sources: int        # outstanding source operands
-    fu_latency: int               # execution latency in fast cycles
+    #: nominal execution latency in fast cycles; informational only — the
+    #: cluster's functional units own issue timing
+    fu_latency: int = 0
     is_memory: bool = False
     payload: object = None        # opaque reference back to the simulator's record
     #: dispatch-order stamp assigned by :meth:`IssueQueue.insert`; breaks seq
@@ -58,6 +44,10 @@ class IssueQueueEntry:
     @property
     def ready(self) -> bool:
         return self.remaining_sources == 0
+
+
+#: Oldest-first selection key: program order, then dispatch order on ties.
+_age_key = attrgetter("seq", "order")
 
 
 class IssueQueue:
@@ -70,47 +60,21 @@ class IssueQueue:
         self.size = size
         self.issue_width = issue_width
         self.memory_ports = memory_ports
-        #: control block shared with the compiled dispatch kernel:
-        #: slot 0 is the dispatch-order counter stamped at insert
-        self.ctrl = array("q", bytes(8))
-        # ---- struct-of-arrays storage, indexed by slot -------------------
-        # Capacity starts at ``size`` and doubles on forced (recovery)
-        # inserts past the architectural size; ``size`` stays the logical
-        # capacity used by ``is_full``.
-        capacity = size
-        self._capacity = capacity
-        #: packed (seq << ORDER_BITS) | order age key per slot
-        self.agekey = array("q", bytes(8 * capacity))
-        #: outstanding source-operand count per slot (authoritative)
-        self.remaining = array("q", bytes(8 * capacity))
-        #: 1 if the slot holds a memory operation
-        self.mem_flags = array("q", bytes(8 * capacity))
-        #: uid stored in each slot (valid only for occupied slots)
-        self.uids = array("q", bytes(8 * capacity))
-        #: carrier objects per slot (None when the slot is free).  Legacy
-        #: ``insert`` stores the :class:`IssueQueueEntry` itself; the
-        #: simulator's ``insert_uop`` fast path stores its dyn record
-        #: directly and entries are materialised on the removal paths.
-        self.payloads: List[object] = [None] * capacity
-        self._free = list(range(capacity - 1, -1, -1))
-        #: uid -> slot for every queued entry
-        self._entries: Dict[int, int] = {}
-        #: uid -> slot for entries with no outstanding sources
-        self._ready: Dict[int, int] = {}
+        self._entries: Dict[int, IssueQueueEntry] = {}
+        #: dispatch-order counter; stamped onto entries at insert
+        self._order_counter = 0
+        #: uid -> entry for entries with no outstanding sources
+        self._ready: Dict[int, IssueQueueEntry] = {}
         #: Public *live views* of the queue state, part of the hot-path
         #: contract: the simulator's event wheel reads these dicts directly
-        #: (occupancy = len(entries), readiness = bool(ready_entries))
-        #: instead of paying a method call per cycle.  They map uid -> slot
-        #: and alias the internal dicts for the queue's whole lifetime —
-        #: mutate only through the queue's methods (or the documented
-        #: hot-state wake sequence in :mod:`repro.sim.simulator`).
+        #: (occupancy = len(entries), readiness = bool(ready_entries)) instead
+        #: of paying a method call per cycle, and its wakeup path decrements
+        #: ``remaining_sources`` in place.  They map uid -> entry and alias
+        #: the internal dicts for the queue's whole lifetime — mutate only
+        #: through the queue's methods (or the documented wake sequence in
+        #: :mod:`repro.sim.simulator`).
         self.entries = self._entries
         self.ready_entries = self._ready
-        #: Live view of the free-slot stack (the compiled dispatch kernel
-        #: pops from its tail exactly like :meth:`insert_uop`; it punts
-        #: back to python when the stack is empty, so physical growth only
-        #: ever happens through :meth:`_grow`).
-        self.free_stack = self._free
         # Statistics for imbalance measurement.
         self.total_occupancy_samples = 0
         self.occupancy_accum = 0
@@ -130,18 +94,6 @@ class IssueQueue:
     def __contains__(self, uid: int) -> bool:
         return uid in self._entries
 
-    def _grow(self) -> None:
-        """Double the physical slot capacity (forced inserts only)."""
-        old = self._capacity
-        grow_by = old
-        self.agekey.extend(array("q", bytes(8 * grow_by)))
-        self.remaining.extend(array("q", bytes(8 * grow_by)))
-        self.mem_flags.extend(array("q", bytes(8 * grow_by)))
-        self.uids.extend(array("q", bytes(8 * grow_by)))
-        self.payloads.extend([None] * grow_by)
-        self._free.extend(range(old + grow_by - 1, old - 1, -1))
-        self._capacity = old + grow_by
-
     # ----------------------------------------------------------------- insert
     # hot-path
     def insert(self, entry: IssueQueueEntry, force: bool = False) -> None:
@@ -150,7 +102,8 @@ class IssueQueue:
         Raises if the queue is full unless ``force`` is set.  Forced inserts
         are reserved for flushing-recovery re-dispatch, which must make
         forward progress even when the scheduler is congested (the real
-        machine reserves entries for re-steered instructions).
+        machine reserves entries for re-steered instructions).  Every insert
+        (forced re-inserts included) takes a fresh dispatch-order stamp.
         """
         entries = self._entries
         if len(entries) >= self.size and not force:
@@ -159,85 +112,24 @@ class IssueQueue:
         if uid in entries:
             raise ValueError(
                 f"uid {uid} already in issue queue")  # lint: disable=REP004(raise-only path: the f-string is built only when the duplicate-uid invariant is already broken)
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        ctrl = self.ctrl
-        order = ctrl[0]
-        entry.order = order
-        ctrl[0] = order + 1
-        self.agekey[slot] = (entry.seq << ORDER_BITS) | order
-        remaining = entry.remaining_sources
-        self.remaining[slot] = remaining
-        self.mem_flags[slot] = 1 if entry.is_memory else 0
-        self.uids[slot] = uid
-        self.payloads[slot] = entry
-        entries[uid] = slot
-        if remaining == 0:
-            self._ready[uid] = slot
-
-    # hot-path
-    def insert_uop(self, uid: int, seq: int, remaining: int, is_memory: bool,
-                   payload: object, force: bool = False) -> None:
-        """Column-direct dispatch: :meth:`insert` without the entry object.
-
-        The simulator's hot path stores its dyn record as the payload; an
-        :class:`IssueQueueEntry` is materialised only if the slot leaves
-        through one of the object-returning removal paths.  Identical
-        bookkeeping to :meth:`insert` — including the order stamp taken on
-        *every* insert (forced re-inserts restamp, preserving the legacy
-        tie-break behaviour).
-        """
-        entries = self._entries
-        if len(entries) >= self.size and not force:
-            raise RuntimeError("issue queue full")
-        if uid in entries:
-            raise ValueError(
-                f"uid {uid} already in issue queue")  # lint: disable=REP004(raise-only path: the f-string is built only when the duplicate-uid invariant is already broken)
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        ctrl = self.ctrl
-        order = ctrl[0]
-        ctrl[0] = order + 1
-        self.agekey[slot] = (seq << ORDER_BITS) | order
-        self.remaining[slot] = remaining
-        self.mem_flags[slot] = 1 if is_memory else 0
-        self.uids[slot] = uid
-        self.payloads[slot] = payload
-        entries[uid] = slot
-        if remaining == 0:
-            self._ready[uid] = slot
-
-    def _materialise(self, slot: int, remaining: int) -> IssueQueueEntry:
-        """Wrap a raw-payload slot in an entry for the object-returning API."""
-        agekey = self.agekey[slot]
-        return IssueQueueEntry(
-            uid=self.uids[slot], seq=agekey >> ORDER_BITS,
-            remaining_sources=remaining, fu_latency=0,
-            is_memory=bool(self.mem_flags[slot]),
-            payload=self.payloads[slot],
-            order=agekey & ((1 << ORDER_BITS) - 1))
+        entries[uid] = entry
+        entry.order = self._order_counter
+        self._order_counter += 1
+        if entry.remaining_sources == 0:
+            self._ready[uid] = entry
 
     # ----------------------------------------------------------------- wakeup
     # hot-path
     def wakeup(self, uid: int, count: int = 1) -> None:
         """Mark ``count`` source operands of ``uid`` as ready."""
-        slot = self._entries.get(uid)
-        if slot is None:
+        entry = self._entries.get(uid)
+        if entry is None:
             return
-        remaining = self.remaining[slot] - count
+        remaining = entry.remaining_sources - count
         if remaining <= 0:
             remaining = 0
-            self._ready[uid] = slot
-        self.remaining[slot] = remaining
-        # Keep the carrier coherent for external observers; the simulator's
-        # inlined wake path skips this and relies on the removal-path
-        # write-back instead.  Raw payloads (``insert_uop``) have no carrier
-        # to sync — the columns are the only truth for them.
-        payload = self.payloads[slot]
-        if type(payload) is IssueQueueEntry:
-            payload.remaining_sources = remaining
+            self._ready[uid] = entry
+        entry.remaining_sources = remaining
 
     # ----------------------------------------------------------------- select
     # hot-path
@@ -257,114 +149,31 @@ class IssueQueue:
             return []
         mem_budget = memory_slots if memory_slots is not None else (
             self.memory_ports if self.memory_ports is not None else budget)
-        payloads = self.payloads
-        mem_flags = self.mem_flags
+        entries = self._entries
         if len(ready) == 1:
-            uid, slot = next(iter(ready.items()))
-            if mem_flags[slot] and mem_budget <= 0:
+            uid, entry = ready.popitem()
+            if entry.is_memory and mem_budget <= 0:
+                ready[uid] = entry
                 return []
-            entry = payloads[slot]
-            if type(entry) is not IssueQueueEntry:
-                entry = self._materialise(slot, 0)
-            self._remove(uid, slot)
-            entry.remaining_sources = 0
+            del entries[uid]
             return [entry]
-        slots = sorted(ready.values(), key=self.agekey.__getitem__)
         selected: List[IssueQueueEntry] = []
-        taken = 0
-        for slot in slots:
-            if taken >= budget:
-                break
-            if mem_flags[slot]:
+        for entry in sorted(ready.values(), key=_age_key):
+            if entry.is_memory:
                 if mem_budget <= 0:
                     continue
                 mem_budget -= 1
-            entry = payloads[slot]
-            if type(entry) is not IssueQueueEntry:
-                entry = self._materialise(slot, 0)
-            entry.remaining_sources = 0
             selected.append(entry)
-            taken += 1
+            if len(selected) >= budget:
+                break
         for entry in selected:
-            self._remove(entry.uid, self._entries[entry.uid])
+            del entries[entry.uid]
+            del ready[entry.uid]
         return selected
 
-    # hot-path
-    def select_raw(self, memory_slots: Optional[int] = None) -> List[object]:
-        """:meth:`select` returning the slot payloads directly (no entry
-        materialisation) — the simulator's issue loop reads everything it
-        needs from its own dyn record.  Selection semantics are identical
-        to :meth:`select` with the default budget."""
-        ready = self._ready
-        if not ready:
-            return []
-        budget = self.issue_width
-        mem_budget = memory_slots if memory_slots is not None else (
-            self.memory_ports if self.memory_ports is not None else budget)
-        payloads = self.payloads
-        mem_flags = self.mem_flags
-        if len(ready) == 1:
-            uid, slot = next(iter(ready.items()))
-            if mem_flags[slot] and mem_budget <= 0:
-                return []
-            payload = payloads[slot]
-            self._remove(uid, slot)
-            return [payload]
-        slots = sorted(ready.values(), key=self.agekey.__getitem__)
-        picked: List[int] = []
-        taken = 0
-        for slot in slots:
-            if taken >= budget:
-                break
-            if mem_flags[slot]:
-                if mem_budget <= 0:
-                    continue
-                mem_budget -= 1
-            picked.append(slot)
-            taken += 1
-        uids = self.uids
-        out: List[object] = []
-        for slot in picked:
-            out.append(payloads[slot])
-            self._remove(uids[slot], slot)
-        return out
-
-    def _remove(self, uid: int, slot: int) -> None:
+    def _remove(self, uid: int) -> None:
         del self._entries[uid]
         self._ready.pop(uid, None)
-        self.payloads[slot] = None
-        self._free.append(slot)
-
-    # hot-path
-    def take_slots(self, slots: List[int]) -> List[IssueQueueEntry]:
-        """Remove pre-selected ``slots`` (compiled select) and return entries.
-
-        The compiled backend performs the oldest-first/memory-budget argselect
-        over the arrays and hands back slot indices; this write-back path
-        mirrors :meth:`select`'s removal exactly.
-        """
-        payloads = self.payloads
-        uids = self.uids
-        out: List[IssueQueueEntry] = []
-        for slot in slots:
-            entry = payloads[slot]
-            if type(entry) is not IssueQueueEntry:
-                entry = self._materialise(slot, 0)
-            entry.remaining_sources = 0
-            self._remove(uids[slot], slot)
-            out.append(entry)
-        return out
-
-    # hot-path
-    def take_slots_raw(self, slots: List[int]) -> List[object]:
-        """:meth:`take_slots` returning the payloads directly."""
-        payloads = self.payloads
-        uids = self.uids
-        out: List[object] = []
-        for slot in slots:
-            out.append(payloads[slot])
-            self._remove(uids[slot], slot)
-        return out
 
     # ------------------------------------------------------------------ flush
     def flush_from(self, seq: int) -> List[IssueQueueEntry]:
@@ -374,42 +183,18 @@ class IssueQueue:
         misprediction every instruction starting from the mispredicted one is
         squashed in the narrow backend.
         """
-        agekey = self.agekey
-        threshold = seq << ORDER_BITS
-        doomed = [slot for slot in self._entries.values()
-                  if agekey[slot] >= threshold]
-        doomed.sort(key=agekey.__getitem__)
-        remaining = self.remaining
-        payloads = self.payloads
-        uids = self.uids
-        result: List[IssueQueueEntry] = []
-        for slot in doomed:
-            entry = payloads[slot]
-            if type(entry) is not IssueQueueEntry:
-                entry = self._materialise(slot, remaining[slot])
-            else:
-                entry.remaining_sources = remaining[slot]
-            self._remove(uids[slot], slot)
-            result.append(entry)
-        return result
+        doomed = sorted((e for e in self._entries.values() if e.seq >= seq),
+                        key=_age_key)
+        for entry in doomed:
+            self._remove(entry.uid)
+        return doomed
 
     def drain(self) -> List[IssueQueueEntry]:
         """Remove and return everything (used at simulation teardown)."""
-        agekey = self.agekey
-        slots = sorted(self._entries.values(), key=agekey.__getitem__)
-        remaining = self.remaining
-        payloads = self.payloads
-        uids = self.uids
-        result: List[IssueQueueEntry] = []
-        for slot in slots:
-            entry = payloads[slot]
-            if type(entry) is not IssueQueueEntry:
-                entry = self._materialise(slot, remaining[slot])
-            else:
-                entry.remaining_sources = remaining[slot]
-            self._remove(uids[slot], slot)
-            result.append(entry)
-        return result
+        entries = sorted(self._entries.values(), key=_age_key)
+        self._entries.clear()
+        self._ready.clear()
+        return entries
 
     # -------------------------------------------------------------- statistics
     # hot-path

@@ -177,8 +177,7 @@ def trace_for_job(job: SweepJob, profile: Optional[BenchmarkProfile] = None,
 def execute_job(job: SweepJob, config: MachineConfig,
                 profile: Optional[BenchmarkProfile] = None,
                 spec=None, power: Optional[PowerConfig] = None,
-                store: Optional[TraceStore] = None,
-                backend: Optional[str] = None) -> SimulationResult:
+                store: Optional[TraceStore] = None) -> SimulationResult:
     """Run one job to completion (trace generation included).
 
     The job's own ``config`` wins over the engine-supplied one; the baseline
@@ -188,17 +187,15 @@ def execute_job(job: SweepJob, config: MachineConfig,
     omitted, the name is resolved against this process's registry.
     ``power`` supplies the energy coefficients (job-carried config wins);
     ``store`` is the cross-job trace store consulted before generating.
-    ``backend`` forces the hot-state backend for this attempt (bit-identical
-    by contract; the supervisor uses it to degrade compiled -> python).
     """
     trace = trace_for_job(job, profile, store)
     policy = make_policy(spec if spec is not None else job.policy)
     power = job.power or power
     if job.policy == "baseline":
         return simulate(trace, config=baseline_config(), policy=policy,
-                        power=power, backend=backend)
+                        power=power)
     return simulate(trace, config=job.config or config, policy=policy,
-                    power=power, backend=backend)
+                    power=power)
 
 
 def _claim_path() -> Optional[Path]:
@@ -247,16 +244,15 @@ def _supervised_worker(task: bytes) -> bytes:
 
     The worker never lets an exception escape to the pool machinery: any
     failure is reported as an ``("error", message)`` outcome so the parent
-    supervisor — not ``multiprocessing``'s error plumbing — owns retry,
-    degradation and quarantine decisions.
+    supervisor — not ``multiprocessing``'s error plumbing — owns retry and
+    quarantine decisions.
     """
-    job, config, profile, spec, power, backend, attempt, token = (
-        pickle.loads(task))
+    job, config, profile, spec, power, attempt, token = pickle.loads(task)
     _write_claim(token, attempt)
     try:
-        maybe_inject(_worker_plan, token, attempt, backend, in_worker=True)
+        maybe_inject(_worker_plan, token, attempt, in_worker=True)
         result = execute_job(job, config, profile, spec=spec, power=power,
-                             store=_worker_store, backend=backend)
+                             store=_worker_store)
         outcome: Tuple = ("ok", result)
     except Exception as exc:  # noqa: BLE001 — every failure is reportable
         outcome = ("error", f"{type(exc).__name__}: {exc}")
@@ -279,24 +275,24 @@ def default_jobs() -> int:
     return available_cpus()
 
 
+#: How long a pool teardown may take before its workers are presumed wedged
+#: (a healthy ``terminate`` + ``join`` takes milliseconds).
+_CLEAN_STOP_S = 1.0
+
+
 def _stop_pool(pool, grace: float = 5.0) -> None:
     """Tear a (possibly wedged) pool down without blocking the parent.
 
-    A SIGKILLed worker can die *holding the task queue's reader lock*, and
-    ``Pool.terminate`` drains that queue under the same lock — calling it
-    directly on such a pool wedges the parent forever.  So: kill the worker
-    processes first (no child outlives the pool), then run terminate+join
-    on a daemon thread with a grace period; a pool that still refuses to
-    die is abandoned — its handler threads are daemonic — never waited on.
+    ``Pool.terminate`` + ``join`` run on a daemon thread.  On a healthy pool
+    they return in milliseconds.  A SIGKILLed worker, though, can die
+    *holding the task queue's reader lock*, and ``terminate`` drains that
+    queue under the same lock, so on such a pool the thread never returns.
+    If it is still running after ``_CLEAN_STOP_S``, the worker processes
+    are killed (no child outlives the pool) and the thread gets up to
+    ``grace`` more seconds; a pool that still refuses to die is abandoned —
+    its handler threads are daemonic — never waited on.
     """
     import threading
-
-    for proc in list(getattr(pool, "_pool", ()) or ()):
-        try:
-            if proc.exitcode is None:
-                proc.kill()
-        except Exception:  # noqa: BLE001 — racing a dying worker is fine
-            pass
 
     def _teardown() -> None:
         try:
@@ -305,9 +301,19 @@ def _stop_pool(pool, grace: float = 5.0) -> None:
         except Exception:  # noqa: BLE001 — a broken pool may refuse both
             pass
 
+    workers = list(getattr(pool, "_pool", ()) or ())
     thread = threading.Thread(target=_teardown, daemon=True,
                               name="repro-pool-teardown")
     thread.start()
+    thread.join(_CLEAN_STOP_S)
+    if not thread.is_alive():
+        return
+    for proc in workers:
+        try:
+            if proc.exitcode is None:
+                proc.kill()
+        except Exception:  # noqa: BLE001 — racing a dying worker is fine
+            pass
     thread.join(grace)
 
 
@@ -350,7 +356,7 @@ class SweepEngine:
         and repeated sweeps skip generation entirely.
     supervisor:
         :class:`~repro.sim.supervise.SupervisorPolicy` governing per-job
-        deadlines, retries/backoff, degradation and pool respawn; the
+        deadlines, retries/backoff and pool respawn; the
         default policy retries twice with exponential backoff.  A fault
         plan's supervision overrides (``deadline=``, ``attempts=``, …) are
         applied on top.
@@ -572,8 +578,8 @@ class SweepEngine:
 
         Cached results are served first; the remainder runs under the
         :class:`~repro.sim.supervise.JobSupervisor` — serially in-process
-        or fanned out over the warm pool — with per-job deadlines, retry,
-        degradation and quarantine.  A quarantined job is simply absent
+        or fanned out over the warm pool — with per-job deadlines, retry
+        and quarantine.  A quarantined job is simply absent
         from the returned mapping (its record lands in
         ``self.report.quarantined`` and the quarantine ledger); the
         returned mapping is keyed (and therefore ordered) by the input job
@@ -685,22 +691,20 @@ class SweepEngine:
                 write_quarantine_file(self.quarantine_path,
                                       self.report.quarantined)
 
-    def _execute_supervised(self, job: SweepJob,
-                            backend: Optional[str] = None) -> SimulationResult:
+    def _execute_supervised(self, job: SweepJob) -> SimulationResult:
         """One in-process job attempt (the supervisor's serial primitive)."""
         return execute_job(job, self.config,
                            self._profile_for(job.benchmark),
-                           power=self.power, store=self.trace_store,
-                           backend=backend)
+                           power=self.power, store=self.trace_store)
 
-    def _task_blob(self, job: SweepJob, backend: Optional[str],
-                   attempt: int, token: str) -> bytes:
-        """Serialise one job attempt for the pool worker protocol."""
+    def _task_blob(self, job: SweepJob, attempt: int, token: str) -> bytes:
+        """Serialise one job attempt for the pool worker protocol (the job
+        token stays the last element)."""
         return pickle.dumps((job, job.config or self.config,
                              self._profile_for(job.benchmark),
                              policy_spec(job.policy),
                              job.power or self.power,
-                             backend, attempt, token),
+                             attempt, token),
                             protocol=pickle.HIGHEST_PROTOCOL)
 
     def _prepare_traces(self, pending: Sequence[SweepJob]) -> None:

@@ -374,7 +374,7 @@ class ExperimentRunner:
 
     @property
     def report(self):
-        """The engine's supervision report (retries, degradations, …)."""
+        """The engine's supervision report (retries, quarantines, …)."""
         return self.engine.report
 
     # ------------------------------------------------------------------ jobs

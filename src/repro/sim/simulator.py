@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from itertools import islice
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -51,14 +50,14 @@ from repro.core.copy_engine import CopyEngine, CopyRequest
 from repro.core.imbalance import ImbalanceMonitor
 from repro.core.predictors import WidthPredictor
 from repro.core.selection import ClusterSelector, LeastLoadedSelector
-from repro.core.splitting import InstructionSplitter, SplitPlan
+from repro.core.splitting import InstructionSplitter
 from repro.core.steering import (
     BaselineSteering,
     SteerDecision,
     SteeringContext,
     SteeringPolicy,
 )
-from repro.isa.opcodes import FunctionalUnit, OpClass, Opcode, opcode_info
+from repro.isa.opcodes import FunctionalUnit, Opcode
 from repro.isa.registers import ArchReg
 from repro.isa.uop import MicroOp
 from repro.isa.values import is_narrow
@@ -72,20 +71,6 @@ from repro.pipeline.rename import RenameTable
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.scheduler import IssueQueue, IssueQueueEntry
 from repro.power.wattch import ClusterActivity, PowerConfig, PowerModel
-from repro.sim.hotstate import (
-    F_COMPLETED,
-    F_IN_ROB,
-    F_ISSUED,
-    F_LAST_CHUNK,
-    F_REPLICATE_LOAD,
-    F_SQUASHED,
-    KIND_CHUNK,
-    KIND_COPY,
-    KIND_TRACE,
-    DynTable,
-    HotState,
-    resolve_backend,
-)
 from repro.sim.metrics import PredictionBreakdown, SimulationResult
 from repro.trace.trace import Trace
 
@@ -111,155 +96,31 @@ _UNIT_ACCOUNT = {
 }
 
 
-#: ``kind`` string <-> ``DynTable.kindcol`` code mapping.
-_KIND_CODES = {"trace": KIND_TRACE, "copy": KIND_COPY, "chunk": KIND_CHUNK}
-_KIND_NAMES = ("trace", "copy", "chunk")
-
-
+@dataclass(slots=True)
 class _DynUop:
-    """Per-in-flight-operation simulator state, SoA-backed.
+    """Per-in-flight-operation simulator state."""
 
-    The scalar fields (seq / domain / value_uid / predicted_narrow / kind /
-    completion flags) live in the shared :class:`~repro.sim.hotstate.DynTable`
-    columns, indexed by ``dyn_id`` — that is what the compiled kernels walk.
-    This carrier object keeps only the cold object references (uop, steering
-    decision, copy request, parent) plus the opcode/unit enums the issue loop
-    reads, and exposes the columns through properties so the cold paths keep
-    the old attribute API.  The columns are the single source of truth; the
-    properties never cache.
-    """
-
-    __slots__ = ("table", "dyn_id", "opcode", "uop", "decision",
-                 "copy_request", "chunk_index", "parent", "_unit")
-
-    def __init__(self, table: DynTable, dyn_id: int, kind: str, seq: int,
-                 domain: int, opcode: Opcode,
-                 uop: Optional[MicroOp] = None,
-                 decision: Optional[SteerDecision] = None,
-                 value_uid: Optional[int] = None,
-                 copy_request: Optional[CopyRequest] = None,
-                 chunk_index: int = 0,
-                 parent: Optional["_DynUop"] = None,
-                 predicted_narrow: Optional[bool] = None,
-                 in_rob: bool = False,
-                 replicate_load: bool = False,
-                 is_last_chunk: bool = False,
-                 unit: Optional[FunctionalUnit] = None) -> None:
-        table.ensure(dyn_id)
-        self.table = table
-        self.dyn_id = dyn_id
-        self.opcode = opcode
-        self.uop = uop
-        self.decision = decision
-        self.copy_request = copy_request
-        self.chunk_index = chunk_index
-        self.parent = parent
-        self._unit = unit
-        i = dyn_id
-        table.seq[i] = seq
-        table.domain[i] = domain
-        table.kindcol[i] = _KIND_CODES[kind]
-        table.value_uid[i] = -1 if value_uid is None else value_uid
-        table.pnarrow[i] = (-1 if predicted_narrow is None
-                            else (1 if predicted_narrow else 0))
-        flags = 0
-        if in_rob:
-            flags |= F_IN_ROB
-        if replicate_load:
-            flags |= F_REPLICATE_LOAD
-        if is_last_chunk:
-            flags |= F_LAST_CHUNK
-        table.flags[i] = flags
-        table.opcode[i] = opcode
-        table.unit[i] = -1 if unit is None else unit
-
-    # ------------------------------------------------------- column properties
-    @property
-    def kind(self) -> str:
-        return _KIND_NAMES[self.table.kindcol[self.dyn_id]]
-
-    @property
-    def seq(self) -> int:
-        return self.table.seq[self.dyn_id]
-
-    @property
-    def domain(self) -> int:
-        return self.table.domain[self.dyn_id]
-
-    @domain.setter
-    def domain(self, value: int) -> None:
-        self.table.domain[self.dyn_id] = value
-
-    @property
-    def value_uid(self) -> Optional[int]:
-        v = self.table.value_uid[self.dyn_id]
-        return None if v < 0 else v
-
-    @property
-    def predicted_narrow(self) -> Optional[bool]:
-        v = self.table.pnarrow[self.dyn_id]
-        return None if v < 0 else bool(v)
-
-    @property
-    def unit(self) -> Optional[FunctionalUnit]:
-        return self._unit
-
-    @unit.setter
-    def unit(self, value: Optional[FunctionalUnit]) -> None:
-        self._unit = value
-        self.table.unit[self.dyn_id] = -1 if value is None else value
-
-    @property
-    def completed(self) -> bool:
-        return bool(self.table.flags[self.dyn_id] & F_COMPLETED)
-
-    @completed.setter
-    def completed(self, value: bool) -> None:
-        if value:
-            self.table.flags[self.dyn_id] |= F_COMPLETED
-        else:
-            self.table.flags[self.dyn_id] &= ~F_COMPLETED
-
-    @property
-    def squashed(self) -> bool:
-        return bool(self.table.flags[self.dyn_id] & F_SQUASHED)
-
-    @squashed.setter
-    def squashed(self, value: bool) -> None:
-        if value:
-            self.table.flags[self.dyn_id] |= F_SQUASHED
-        else:
-            self.table.flags[self.dyn_id] &= ~F_SQUASHED
-
-    @property
-    def issued(self) -> bool:
-        return bool(self.table.flags[self.dyn_id] & F_ISSUED)
-
-    @issued.setter
-    def issued(self, value: bool) -> None:
-        if value:
-            self.table.flags[self.dyn_id] |= F_ISSUED
-        else:
-            self.table.flags[self.dyn_id] &= ~F_ISSUED
-
-    @property
-    def in_rob(self) -> bool:
-        return bool(self.table.flags[self.dyn_id] & F_IN_ROB)
-
-    @in_rob.setter
-    def in_rob(self, value: bool) -> None:
-        if value:
-            self.table.flags[self.dyn_id] |= F_IN_ROB
-        else:
-            self.table.flags[self.dyn_id] &= ~F_IN_ROB
-
-    @property
-    def replicate_load(self) -> bool:
-        return bool(self.table.flags[self.dyn_id] & F_REPLICATE_LOAD)
-
-    @property
-    def is_last_chunk(self) -> bool:
-        return bool(self.table.flags[self.dyn_id] & F_LAST_CHUNK)
+    dyn_id: int
+    kind: str                       # "trace" | "copy" | "chunk"
+    seq: int
+    domain: int                     # cluster index (0 = wide host)
+    opcode: Opcode
+    uop: Optional[MicroOp] = None
+    decision: Optional[SteerDecision] = None
+    value_uid: Optional[int] = None      # value produced (trace uid) if any
+    copy_request: Optional[CopyRequest] = None
+    chunk_index: int = 0
+    parent: Optional["_DynUop"] = None
+    predicted_narrow: Optional[bool] = None
+    completed: bool = False
+    squashed: bool = False
+    issued: bool = False
+    in_rob: bool = False
+    replicate_load: bool = False
+    is_last_chunk: bool = False
+    #: functional-unit kind of ``opcode``, precomputed at dispatch so the
+    #: issue loop needs no opcode-info lookup
+    unit: Optional[FunctionalUnit] = None
 
 
 class HelperClusterSimulator:
@@ -268,8 +129,7 @@ class HelperClusterSimulator:
     def __init__(self, trace: Trace, config: Optional[MachineConfig] = None,
                  policy: Optional[SteeringPolicy] = None,
                  power: Optional[PowerConfig] = None,
-                 reference_loop: Optional[bool] = None,
-                 backend: Optional[str] = None) -> None:
+                 reference_loop: Optional[bool] = None) -> None:
         self.trace = trace
         self.config = config or helper_cluster_config()
         self.policy = policy or BaselineSteering()
@@ -329,20 +189,19 @@ class HelperClusterSimulator:
             copy_engine=self.copy_engine, splitter=self.splitter,
             selector=self.selector)
 
-        # Dynamic state.  The completion calendar (and the other hot-state
-        # columns) live behind one HotState binding point shared with the
-        # optional compiled backend; ``_completions``/``_completion_heap``
-        # alias it for the run loop.
+        # Dynamic state.  ``_completions`` is the completion calendar: fast
+        # cycle -> bucket of completing dyn uops, in issue order.
+        # ``_waiters`` maps (producer value uid, cluster) — or ("chunk",
+        # predecessor dyn_id) for IR chunk chains — to the uops waiting on it.
         self._dyn_counter = 0
-        self.hot = HotState(
-            queues=[cluster.issue_queue for cluster in self.clusters],
-            rob=self.rob, periods=self.clocking.periods,
-            ratio=self.clocking.ratio)
-        self._completions: Dict[int, List[_DynUop]] = self.hot.completions
+        self._completions: Dict[int, List[_DynUop]] = {}
+        self._waiters: Dict[Tuple[object, int], List[_DynUop]] = {}
         self._redispatch: Deque[_DynUop] = deque()
         self._pending_fetch: Deque[FetchedUop] = deque()
         self._dl0_slots: Dict[int, int] = {}
         self._current_completing: List[_DynUop] = []
+        self._copied_values: set = set()
+        self._prefetched_values: set = set()
         self._narrow_width = self.config.narrow_width
 
         # Result accumulation.  One activity record per cluster (keyed by
@@ -375,8 +234,6 @@ class HelperClusterSimulator:
         self._track_width = self.selector.wants_width_bits
         self._cluster_widths = [spec.datapath_width
                                 for spec in self.topology.clusters]
-        self._copy_latency_fast = [self.clocking.slow_to_fast(spec.copy_latency_slow)
-                                   for spec in self.topology.clusters]
         self._uses_cp = getattr(self.policy, "uses_copy_prefetch", False)
         self._uses_lr = getattr(self.policy, "uses_load_replication", False)
 
@@ -386,7 +243,7 @@ class HelperClusterSimulator:
         # peek instead of a min() scan.  ``_helper_wheel`` pre-binds each
         # helper backend's issue queue, ready set and clock period for the
         # per-cycle issue/sampling/advance paths.
-        self._completion_heap: List[int] = self.hot.heap
+        self._completion_heap: List[int] = []
         self._helper_wheel: List[Tuple[Backend, IssueQueue, Dict, int]] = [
             (backend, backend.issue_queue, backend.issue_queue.ready_entries,
              self._periods[backend.index])
@@ -402,21 +259,6 @@ class HelperClusterSimulator:
         if reference_loop is None:
             reference_loop = os.environ.get("REPRO_REFERENCE_LOOP", "") == "1"
         self._reference_loop = reference_loop
-        #: simulator backend: ``"python"`` or ``"compiled"`` (bit-identical;
-        #: resolved from the ``backend`` argument / REPRO_BACKEND).  The
-        #: compiled kernels only drive the event wheel — the reference loop
-        #: is always pure python, so it stays an independent net.
-        self.backend, self._kernel = resolve_backend(backend)
-        #: issue-selection routing; the wheel swaps in the compiled variant
-        self._select_fn = self._select_python
-        #: dependence-resolution / wakeup routing; ``run()`` swaps in the
-        #: compiled variants when the extension provides the per-uop kernels
-        #: (the pure-python fallbacks below are the semantic source of truth)
-        self._resolve_fn = self._resolve_dependences
-        self._wake_fn = self._wake_python
-        self._dispatch_tail_fn = self._dispatch_tail_python
-        #: compiled re-dispatch burst kernel (None on the python backend)
-        self._dispatch_batch = None
 
     # ======================================================================
     # public API
@@ -444,20 +286,7 @@ class HelperClusterSimulator:
         helper_wheel = self._helper_wheel
         wide_ready = self.wide.issue_queue.ready_entries
         helper_sampling = self._helper_enabled
-        if self._kernel is not None:
-            self.hot.bind_kernel(self._kernel)
-            self._select_fn = self._select_compiled
-            next_event = self._next_event_compiled
-            if hasattr(self._kernel, "bind_uops"):
-                # Stale builds of the extension predate the dispatch-chain
-                # kernels; their python fallbacks then stay in place.
-                self.hot.bind_uops(self._kernel, self.copy_engine)
-                self._resolve_fn = self._resolve_compiled
-                self._wake_fn = self._wake_compiled
-                self._dispatch_tail_fn = self._dispatch_tail_compiled
-                self._dispatch_batch = self._kernel.dispatch_batch
-        else:
-            next_event = self._next_event
+        next_event = self._next_event
         while not self._done():
             if t > limit or t - last_progress_cycle > stall_window:
                 raise RuntimeError(
@@ -632,24 +461,6 @@ class HelperClusterSimulator:
             return next_t, False
         return target, True
 
-    def _next_event_compiled(self, t: int) -> Tuple[int, bool]:
-        """Compiled :meth:`_next_event`: the python-only conditions (frontend
-        / redispatch / ROB fullness) fold into a flag word, the helper-wheel
-        scan, calendar peek and clock arithmetic run in C."""
-        pending = self._redispatch or self._pending_fetch
-        exhausted = self.frontend.exhausted
-        rob_count = self.rob.occupancy()
-        flags = 0
-        if pending or not exhausted:
-            flags = 1                                   # dispatch possible
-        if rob_count >= self.rob.size:
-            flags |= 2                                  # ROB full
-        elif not pending and exhausted and rob_count == 0:
-            flags |= 4                                  # drained modulo calendar
-        packed = self._kernel.next_event(self.hot.cstate, t, flags)
-        return packed >> 1, bool(packed & 1)
-
-
     # hot-path
     def _record_idle_cycles(self, cycles: int) -> None:
         """Fold ``cycles`` skipped no-op cycles into the sampling statistics.
@@ -678,19 +489,14 @@ class HelperClusterSimulator:
         # Recovery must be able to squash same-cycle completions that are
         # younger than the mispredicted uop, so keep the list visible.
         self._current_completing = completing
-        table = self.hot.dyn
-        flags = table.flags
-        kindcol = table.kindcol
         for dyn in completing:
-            i = dyn.dyn_id
-            f = flags[i]
-            if f & F_SQUASHED:
+            if dyn.squashed:
                 continue
-            flags[i] = f | F_COMPLETED
-            kind = kindcol[i]
-            if kind == KIND_TRACE:
+            dyn.completed = True
+            kind = dyn.kind
+            if kind == "trace":
                 self._complete_trace_uop(dyn, t)
-            elif kind == KIND_COPY:
+            elif kind == "copy":
                 self._complete_copy(dyn, t)
             else:
                 self._complete_chunk(dyn, t)
@@ -701,7 +507,7 @@ class HelperClusterSimulator:
         self.copy_engine.complete_copy(request, t)
         backend = self._backend(dyn.domain)
         backend.stats.copies_executed += 1
-        self._wake_fn(request.value_uid, request.to_domain)
+        self._wake(request.value_uid, request.to_domain)
 
     def _complete_chunk(self, dyn: _DynUop, t: int) -> None:
         backend = self._backend(dyn.domain)
@@ -714,7 +520,7 @@ class HelperClusterSimulator:
             # narrow cluster once the most-significant chunk completes.
             if parent.value_uid is not None:
                 self.copy_engine.note_produced(parent.value_uid, dyn.domain, t)
-                self._wake_fn(parent.value_uid, dyn.domain)
+                self._wake(parent.value_uid, dyn.domain)
                 if parent.uop is not None and parent.uop.has_dest:
                     self.rename.writeback(parent.uop.dest, parent.value_uid,
                                           narrow=False, domain=dyn.domain)
@@ -789,7 +595,7 @@ class HelperClusterSimulator:
             if uop.writes_flags:
                 self.rename.writeback(ArchReg.FLAGS, value_uid, narrow=True,
                                       domain=domain)
-            self._wake_fn(value_uid, domain)
+            self._wake(value_uid, domain)
             if dyn.replicate_load and uop.is_load and actual_narrow:
                 # LR (§3.4): the narrow load value is written into every
                 # cluster's register file through the shared MOB.  A value
@@ -801,7 +607,7 @@ class HelperClusterSimulator:
                 widths = self._cluster_widths
                 for other in range(len(self.clusters)):
                     if other != domain and uop.result_is_narrow(widths[other]):
-                        self._wake_fn(value_uid, other)
+                        self._wake(value_uid, other)
         if dyn.in_rob:
             self.rob.mark_completed(uop.uid)
 
@@ -835,7 +641,7 @@ class HelperClusterSimulator:
         seq = trigger.seq
         trigger_domain = trigger.domain
         squashed: List[_DynUop] = []
-        cancelled_lanes: List[Tuple[int, int]] = []
+        cancelled: List[CopyRequest] = []
         for backend in self.helpers:
             squashed_entries = backend.issue_queue.flush_from(seq)
             for entry in squashed_entries:
@@ -853,18 +659,11 @@ class HelperClusterSimulator:
                     # producer instead.
                     if self.copy_engine.availability(request.value_uid,
                                                      request.from_domain) is not None:
-                        backend.issue_queue.insert_uop(
-                            entry.uid, entry.seq, entry.remaining_sources,
-                            entry.is_memory, dyn, force=True)
+                        backend.issue_queue.insert(entry, force=True)
                     else:
                         dyn.squashed = True
                         self.copy_engine.cancel_copy(request)
-                        # The copy waits on its source lane and its consumers
-                        # wait on the destination lane — both go stale.
-                        cancelled_lanes.append((request.value_uid,
-                                                request.from_domain))
-                        cancelled_lanes.append((request.value_uid,
-                                                request.to_domain))
+                        cancelled.append(request)
                     continue
                 dyn.squashed = True
                 squashed.append(dyn)
@@ -885,26 +684,21 @@ class HelperClusterSimulator:
         trigger.squashed = True
         squashed.append(trigger)
 
-        # Squashed consumers leave waiter nodes on the (producer_uid, domain)
-        # lanes they resolved against; the re-executed producer completes in
-        # the wide cluster, so those helper-domain lanes may never be walked
-        # again and the nodes would strand their pool slots.  Drain exactly
-        # the lanes the squashed work could occupy — its producers' value
-        # lanes in its pre-flush domain (the redispatch loop below rewrites
-        # ``domain`` to wide, so this must run first), its own chunk lane,
-        # and any cancelled copy's destination lane.  Survivors on a lane are
-        # preserved in FIFO order.
-        waiters = self.hot.waiters
-        flags = self.hot.dyn.flags
-        dom_col = self.hot.dyn.domain
-        drained: set = set(cancelled_lanes)
+        # Squashed uops stay on the waiter lists they joined, and the
+        # re-executed producer completes in the wide cluster, so some of
+        # those lists are never woken again.  Prune the squashed entries
+        # from every list the squashed work can sit on: its producers' keys
+        # in its pre-flush cluster (the redispatch loop below rewrites
+        # ``domain``, so this runs first), its own chunk-chain key, and both
+        # keys of each cancelled copy.  Survivors keep their FIFO order.
+        for request in cancelled:
+            self._prune_waiters((request.value_uid, request.from_domain))
+            self._prune_waiters((request.value_uid, request.to_domain))
         for dyn in squashed:
-            domain = dom_col[dyn.dyn_id]
+            domain = dyn.domain
             for producer_uid in dyn.uop.effective_producers:
-                drained.add((producer_uid, domain))
-            waiters.drop_squashed_chunk(dyn.dyn_id, flags)
-        for value_uid, domain in sorted(drained):
-            waiters.drop_squashed(value_uid, domain, flags)
+                self._prune_waiters((producer_uid, domain))
+            self._prune_waiters(("chunk", dyn.dyn_id))
 
         event = self.recovery.trigger(
             trigger_uid=trigger.value_uid if trigger.value_uid is not None else trigger.dyn_id,
@@ -935,11 +729,21 @@ class HelperClusterSimulator:
         self.result.squashed_uops += len(redispatch)
         self.result.recoveries += 1
 
+    def _prune_waiters(self, key: Tuple[object, int]) -> None:
+        """Drop squashed uops from one waiter list (and the list if empty)."""
+        waiters = self._waiters.get(key)
+        if waiters is None:
+            return
+        live = [dyn for dyn in waiters if not dyn.squashed]
+        if live:
+            self._waiters[key] = live
+        else:
+            del self._waiters[key]
+
     def _clone_for_redispatch(self, dyn: _DynUop) -> _DynUop:
         """Prepare a squashed trace uop to re-execute in the wide backend."""
         self._dyn_counter += 1
         return _DynUop(
-            self.hot.dyn,
             dyn_id=self._dyn_counter,
             kind="trace",
             seq=dyn.seq,
@@ -966,50 +770,26 @@ class HelperClusterSimulator:
         if t % self._ratio == 0 and self.wide.issue_queue.ready_count():
             self._issue_backend(self.wide, t)
 
-    def _select_python(self, iq: IssueQueue, index: int,
-                       memory_slots: int) -> List[_DynUop]:
-        return iq.select_raw(memory_slots=memory_slots)
-
-    def _select_compiled(self, iq: IssueQueue, index: int,
-                         memory_slots: int) -> List[_DynUop]:
-        slots = self._kernel.select_slots(self.hot.cstate, index,
-                                          iq.issue_width, memory_slots)
-        if not slots:
-            return []
-        return iq.take_slots_raw(slots)
-
     # hot-path
     def _issue_backend(self, backend: Backend, t: int) -> None:
         slow_cycle = t // self._ratio
         dl0_free = self.memory.dl0_ports - self._dl0_slots.get(slow_cycle, 0)
-        selected = self._select_fn(backend.issue_queue, backend.index,
-                                   max(0, dl0_free))
-        if not selected:
-            return
+        selected = backend.issue_queue.select(memory_slots=max(0, dl0_free))
         completions = self._completions
-        table = self.hot.dyn
-        flags = table.flags
-        kindcol = table.kindcol
-        seq_col = table.seq
-        iq = backend.issue_queue
-        try_issue = backend.units.try_issue
-        stats = backend.stats
-        for dyn in selected:
-            i = dyn.dyn_id
-            is_trace = kindcol[i] == KIND_TRACE
-            is_memory = is_trace and dyn.uop.is_memory
-            completion = try_issue(dyn.opcode, t, unit=dyn.unit)
+        for entry in selected:
+            dyn = entry.payload
+            completion = backend.units.try_issue(dyn.opcode, t, unit=dyn.unit)
             if completion is None:
-                # Structural hazard on the functional unit: put the uop
-                # back and retry next cycle.  Forced because it was
+                # Structural hazard on the functional unit: put the entry
+                # back and retry next cycle.  Forced because the entry was
                 # resident a moment ago (recovery may have over-filled the
                 # queue in the meantime).
-                iq.insert_uop(i, seq_col[i], 0, is_memory, dyn, force=True)
+                backend.issue_queue.insert(entry, force=True)
                 continue
-            if is_memory:
+            if entry.is_memory and dyn.kind == "trace":
                 completion = self._memory_access(dyn, t, completion, slow_cycle)
-            flags[i] |= F_ISSUED
-            stats.issued += 1
+            dyn.issued = True
+            backend.stats.issued += 1
             bucket = completions.get(completion)
             if bucket is None:
                 completions[completion] = [dyn]
@@ -1052,8 +832,7 @@ class HelperClusterSimulator:
         uses_cp = self._uses_cp
         result = self.result
         steer_reasons = result.steer_reasons
-        copied = self.copy_engine.copied_lanes
-        copied_cap = len(copied)
+        copied_values = self._copied_values
         for entry in retired:
             dyn = entry.payload
             if type(dyn) is not _DynUop or dyn.uop is None:
@@ -1071,9 +850,7 @@ class HelperClusterSimulator:
             # Copy-prefetch predictor training: the producer "incurred a copy"
             # if any consumer demanded one before it retired (§3.6).
             if uses_cp and uop.has_dest:
-                uid = uop.uid
-                self.width_predictor.update_copy(
-                    uop.pc, uid < copied_cap and copied[uid] != 0)
+                self.width_predictor.update_copy(uop.pc, uop.uid in copied_values)
             reason = decision.reason if decision is not None else "none"
             steer_reasons[reason] = steer_reasons.get(reason, 0) + 1
 
@@ -1097,34 +874,11 @@ class HelperClusterSimulator:
         # Re-dispatch must make forward progress even when the schedulers are
         # congested with younger dependents of the squashed values, so it may
         # temporarily exceed scheduler capacity (``force=True``).
-        redispatch = self._redispatch
-        while budget > 0 and redispatch:
-            if self._dispatch_batch is not None and budget > 1 and len(redispatch) > 1:
-                # The burst is already steered and forced, with no rename or
-                # MOB work left — exactly the shape the compiled batch kernel
-                # takes whole.  It stops at the first uop it cannot place
-                # without python help (copy injection, column growth); that
-                # one falls through to the per-uop path below.
-                clusters = self.clusters
-                items = []
-                for dyn in islice(redispatch, min(budget, len(redispatch))):
-                    if dyn.unit is None:
-                        dyn.unit = clusters[dyn.domain].units.unit_for(dyn.opcode)
-                    uop = dyn.uop
-                    items.append((dyn, dyn.dyn_id, uop.uid, dyn.seq,
-                                  dyn.domain, uop.is_memory,
-                                  _UNIT_ACCOUNT.get(dyn.unit, -1),
-                                  uop.effective_producers))
-                done = self._dispatch_batch(self.hot.cstate, items, t)
-                for _ in range(done):
-                    redispatch.popleft()
-                budget -= done
-                if done == len(items):
-                    continue
-            dyn = redispatch[0]
+        while budget > 0 and self._redispatch:
+            dyn = self._redispatch[0]
             if not self._dispatch_dyn(dyn, t, force=True):
                 return
-            redispatch.popleft()
+            self._redispatch.popleft()
             budget -= 1
 
         # Then bring in new trace uops.
@@ -1179,7 +933,6 @@ class HelperClusterSimulator:
 
         self._dyn_counter += 1
         dyn = _DynUop(
-            self.hot.dyn,
             dyn_id=self._dyn_counter, kind="trace", seq=fetched.seq,
             domain=cluster, opcode=uop.opcode, uop=uop,
             decision=decision,
@@ -1203,13 +956,16 @@ class HelperClusterSimulator:
         if dyn.unit is None:
             dyn.unit = backend.units.unit_for(dyn.opcode)
 
-        # Resolve dependences, allocate the ROB slot and insert into the
-        # scheduler — the per-uop tail the compiled dispatch-batch kernel
-        # replaces wholesale.
-        if not self._dispatch_tail_fn(dyn, t, allocate_rob, force):
+        # Resolve source dependences (and generate demand copies).
+        outstanding = self._resolve_dependences(dyn, t, force=force)
+        if outstanding is None:
             return False
 
+        activity = self._activity
         if allocate_rob:
+            self.rob.allocate(uop.uid, dyn.seq, payload=dyn)
+            dyn.in_rob = True
+            activity.rob_ops += 1
             if uop.is_memory:
                 self.mob.allocate(uop.uid, dyn.seq, uop.is_store, uop.mem_addr,
                                   uop.mem_size)
@@ -1239,57 +995,18 @@ class HelperClusterSimulator:
                             break
             if uop.writes_flags:
                 self.rename.allocate(ArchReg.FLAGS, uop.uid, dyn.domain, True)
-            self._activity.rename_ops += 1
+            activity.rename_ops += 1
 
-            # Copy prefetching (§3.6): generate the copy at the producer.
-            if uop.has_dest and self._uses_cp:
-                self._maybe_prefetch_copy(dyn, t)
-        return True
-
-    # hot-path
-    def _dispatch_tail_python(self, dyn: _DynUop, t: int, allocate_rob: bool,
-                              force: bool) -> bool:
-        """Resolve + ROB allocate + scheduler insert + dispatch accounting.
-
-        Pure-python fallback of the compiled ``dispatch_batch`` kernel (which
-        performs exactly this sequence over the SoA columns, batched across a
-        recovery re-dispatch burst).  Returns False when dependence
-        resolution stalls on a full producer scheduler.
-        """
-        outstanding = self._resolve_fn(dyn, t, force=force)
-        if outstanding is None:
-            return False
-        backend = self.clusters[dyn.domain]
-        uop = dyn.uop
-        if allocate_rob:
-            self.rob.allocate(uop.uid, dyn.seq, payload=dyn,
-                              dyn_slot=dyn.dyn_id)
-            dyn.in_rob = True
-            self._activity.rob_ops += 1
-        backend.issue_queue.insert_uop(dyn.dyn_id, dyn.seq, outstanding,
-                                       uop.is_memory, dyn, force=force)
+        iq.insert(IssueQueueEntry(
+            uid=dyn.dyn_id, seq=dyn.seq, remaining_sources=outstanding,
+            is_memory=uop.is_memory, payload=dyn), force=force)
         backend.stats.dispatched += 1
         self._account_dispatch(dyn, backend)
+
+        # Copy prefetching (§3.6): generate the copy at the producer.
+        if allocate_rob and uop.has_dest and self._uses_cp:
+            self._maybe_prefetch_copy(dyn, t)
         return True
-
-    # hot-path
-    def _dispatch_tail_compiled(self, dyn: _DynUop, t: int, allocate_rob: bool,
-                                force: bool) -> bool:
-        """Route the per-uop dispatch tail through the compiled kernel.
-
-        A kernel punt (return 0) commits nothing; the python tail then
-        reruns the whole sequence.  The only scan side effect a punt can
-        leave behind — prefetch consumption — is idempotent across the
-        rescan (the lane bit is already cleared).
-        """
-        uop = dyn.uop
-        if self._kernel.dispatch_uop(
-                self.hot.cstate, dyn, dyn.dyn_id, uop.uid, dyn.seq,
-                dyn.domain, uop.is_memory,
-                _UNIT_ACCOUNT.get(dyn.unit, -1), uop.effective_producers,
-                t, allocate_rob, force):
-            return True
-        return self._dispatch_tail_python(dyn, t, allocate_rob, force)
 
     def _account_dispatch(self, dyn: _DynUop, backend: Backend) -> None:
         cluster = self._cluster_acts[backend.index]
@@ -1314,95 +1031,71 @@ class HelperClusterSimulator:
 
         For each source value the possibilities are:
 
-        * already available in this uop's cluster — no dependence;
+        * already available in this cluster — no dependence;
         * in flight (or resident) in this cluster — wait for it (wakeup);
-        * in flight or resident only in *some other* cluster — generate a
-          demand copy in a producer cluster (unless one is already in
+        * in flight or resident only in the *other* cluster — generate a
+          demand copy in the producer's cluster (unless one is already in
           flight toward this cluster) and wait for its delivery;
         * unknown (produced and retired before tracking, or a trace live-in)
-          — architectural state, available in every cluster.
+          — architectural state, available everywhere.
 
-        Pure-python fallback of the compiled ``resolve_deps`` kernel: the
-        scan is straight index arithmetic over the copy engine's value lanes
-        and the ROB's ``dyn_ring`` (producer cluster through the DynTable
-        ``domain`` column).  Returns the number of outstanding source
-        values, or ``None`` if a needed copy cannot be injected because the
-        producer cluster's scheduler is full (the caller stalls dispatch).
+        Returns the number of outstanding source values, or ``None`` if a
+        needed copy cannot be injected because the producer cluster's
+        scheduler is full (the caller stalls dispatch).
         """
         producers = dyn.uop.effective_producers
         if not producers:
             return 0
-        table = self.hot.dyn
-        domain = table.domain[dyn.dyn_id]
-        engine = self.copy_engine
-        D = engine.num_domains
-        cap = engine.cap_uids
-        avail = engine.avail_lanes
-        order_lanes = engine.avail_order_lanes
-        counts = engine.avail_count_lanes
-        pending = engine.pending_lanes
-        pre = engine.prefetched_lanes
-        copied = engine.copied_lanes
-        stat = engine.stat_lanes
+        domain = dyn.domain
+        copy_engine = self.copy_engine
+        availability = copy_engine.availability_map
+        pending_copies = copy_engine.pending_map
+        prefetched = self._prefetched_values
         rob_by_uid = self.rob.by_uid
-        dyn_ring = self.rob.dyn_ring
-        dom_col = table.domain
+        waiters = self._waiters
         outstanding = 0
-        needed_copies: Optional[List[Tuple[int, int]]] = None
+        needed_copies: Optional[List[Tuple[int, ClockDomain]]] = None
         deps: Optional[List[int]] = None
 
         for producer_uid in producers:
-            if producer_uid < cap:
-                base = producer_uid * D
-                lane = base + domain
-                known = counts[producer_uid] > 0
-                avail_here = avail[lane]
-            else:
-                base = lane = -1
-                known = False
-                avail_here = -1
-            if 0 <= avail_here <= t:
-                if pre[lane]:
+            slots = availability.get(producer_uid)
+            avail_here = None if slots is None else slots.get(domain)
+            if avail_here is not None and avail_here <= t:
+                if prefetched and (producer_uid, domain) in prefetched:
+                    copy_engine.stats.useful_prefetches += 1
+                    prefetched.discard((producer_uid, domain))
                     # A consumed prefetch keeps the producer's CP bit trained.
-                    stat[0] += 1
-                    pre[lane] = 0
-                    engine.prefetched_active -= 1
-                    copied[producer_uid] = 1
+                    self._copied_values.add(producer_uid)
                 continue
-            slot = rob_by_uid.get(producer_uid)
-            producer_domain = -1
-            if slot is not None:
-                ds = dyn_ring[slot]
-                if ds >= 0:
-                    producer_domain = dom_col[ds]
-            if producer_domain < 0 and not known:
+            rob_entry = rob_by_uid.get(producer_uid)
+            producer_domain = None
+            if rob_entry is not None:
+                payload = rob_entry.payload
+                if type(payload) is _DynUop:
+                    producer_domain = payload.domain
+            if producer_domain is None and not slots:
                 # Retired before tracking or trace live-in: architectural
-                # state visible to every register file.
+                # state visible to both register files.
                 continue
-            copy_pending = lane >= 0 and pending[lane]
-            if copy_pending and pre[lane]:
+            pending = pending_copies.get(producer_uid)
+            copy_pending = pending is not None and domain in pending
+            if copy_pending and prefetched and (producer_uid, domain) in prefetched:
                 # The consumer will ride an in-flight prefetched copy.
-                stat[0] += 1
-                pre[lane] = 0
-                engine.prefetched_active -= 1
-                copied[producer_uid] = 1
-            if avail_here < 0 and not copy_pending:
+                copy_engine.stats.useful_prefetches += 1
+                prefetched.discard((producer_uid, domain))
+                self._copied_values.add(producer_uid)
+            if avail_here is None and not copy_pending:
                 source_domain = producer_domain
-                if source_domain < 0 or source_domain == domain:
-                    # The producer record says "this cluster" but the value
-                    # is only resident elsewhere (e.g. it migrated on
-                    # recovery): pick the first-arrival resident cluster,
-                    # exactly the old per-uid dict's insertion order.
-                    source_domain = -1
-                    if known:
-                        best_order = -1
-                        for d in range(D):
-                            if d != domain and avail[base + d] >= 0:
-                                o = order_lanes[base + d]
-                                if best_order < 0 or o < best_order:
-                                    best_order = o
-                                    source_domain = d
-                if source_domain >= 0 and source_domain != domain:
+                if source_domain is None or source_domain == domain:
+                    # The producer record says "this cluster" but the value is
+                    # only resident elsewhere (e.g. it migrated on recovery).
+                    source_domain = None
+                    if slots:
+                        for d in slots:
+                            if d != domain:
+                                source_domain = d
+                                break
+                if source_domain is not None and source_domain != domain:
                     if needed_copies is None:
                         needed_copies = []
                     needed_copies.append((producer_uid, source_domain))
@@ -1418,7 +1111,7 @@ class HelperClusterSimulator:
             # forced by recovery re-dispatch, which must not stall
             # indefinitely).
             if not force:
-                slots_needed: Dict[int, int] = {}
+                slots_needed: Dict[ClockDomain, int] = {}
                 for _, producer_domain in needed_copies:
                     slots_needed[producer_domain] = slots_needed.get(producer_domain, 0) + 1
                 for producer_domain, count in slots_needed.items():
@@ -1428,37 +1121,28 @@ class HelperClusterSimulator:
                 self._inject_copy(producer_uid, producer_domain, domain, t,
                                   prefetch=False, force=force)
         if deps is not None:
-            append_value = self.hot.waiters.append_value
-            dyn_id = dyn.dyn_id
             for producer_uid in deps:
-                append_value(producer_uid, domain, dyn_id)
-        return outstanding
-
-    # hot-path
-    def _resolve_compiled(self, dyn: _DynUop, t: int,
-                          force: bool = False) -> Optional[int]:
-        """Compiled dependence scan; a punt (None) reruns the python
-        fallback, which injects demand copies and grows the waiter pool."""
-        outstanding = self._kernel.resolve_deps(
-            self.hot.cstate, dyn.dyn_id, dyn.uop.effective_producers, t)
-        if outstanding is None:
-            return self._resolve_dependences(dyn, t, force=force)
+                key = (producer_uid, domain)
+                bucket = waiters.get(key)
+                if bucket is None:
+                    waiters[key] = [dyn]
+                else:
+                    bucket.append(dyn)
         return outstanding
 
     # ------------------------------------------------------------ copies
     def _inject_copy(self, value_uid: int, from_domain: ClockDomain,
                      to_domain: ClockDomain, t: int, prefetch: bool,
                      force: bool = False) -> None:
-        engine = self.copy_engine
-        request = engine.request_copy(value_uid, from_domain, to_domain,
-                                      prefetch=prefetch)
+        request = self.copy_engine.request_copy(value_uid, from_domain, to_domain,
+                                                prefetch=prefetch)
         if not prefetch:
             # The CP predictor learns from *demand* copies (and from consumed
             # prefetches, recorded when a consumer uses one); counting the
             # prefetches themselves would make the bit self-reinforcing.
-            engine.mark_copied(value_uid)
-        else:
-            engine.mark_prefetched(value_uid, to_domain)
+            self._copied_values.add(value_uid)
+        if prefetch:
+            self._prefetched_values.add((value_uid, to_domain))
         self.result.copies += 1
         if prefetch:
             self.result.prefetched_copies += 1
@@ -1466,26 +1150,24 @@ class HelperClusterSimulator:
         self._dyn_counter += 1
         producer_seq = self._seq_of_value(value_uid)
         dyn = _DynUop(
-            self.hot.dyn,
             dyn_id=self._dyn_counter, kind="copy", seq=producer_seq,
             domain=from_domain, opcode=Opcode.COPY, copy_request=request,
             value_uid=value_uid, unit=FunctionalUnit.COPY)
         backend = self._backend(from_domain)
         # The copy depends on the value being available in the producer
         # cluster (it reads the producer's register file).
-        avail = engine.availability(value_uid, from_domain)
+        avail = self.copy_engine.availability(value_uid, from_domain)
         outstanding = 0
         if avail is None or avail > t:
             outstanding = 1
-            self.hot.waiters.append_value(value_uid, from_domain, dyn.dyn_id)
-        backend.issue_queue.insert_uop(dyn.dyn_id, producer_seq, outstanding,
-                                       False, dyn, force=force)
+            self._waiters.setdefault((value_uid, from_domain), []).append(dyn)
+        backend.issue_queue.insert(IssueQueueEntry(
+            uid=dyn.dyn_id, seq=producer_seq, remaining_sources=outstanding,
+            payload=dyn), force=force)
 
     def _seq_of_value(self, value_uid: int) -> int:
-        slot = self.rob.by_uid.get(value_uid)
-        if slot is not None:
-            return self.rob.seq_ring[slot]
-        return 0
+        entry = self.rob.by_uid.get(value_uid)
+        return 0 if entry is None else entry.seq
 
     def _maybe_prefetch_copy(self, dyn: _DynUop, t: int) -> None:
         """§3.6 hybrid policy: CP bit predicts narrow-to-wide copies, the
@@ -1527,8 +1209,7 @@ class HelperClusterSimulator:
             # fall back to a plain wide dispatch.
             decision = SteerDecision(domain=ClockDomain.WIDE, reason="split_rejected")
             self._dyn_counter += 1
-            dyn = _DynUop(self.hot.dyn,
-                          dyn_id=self._dyn_counter, kind="trace", seq=fetched.seq,
+            dyn = _DynUop(dyn_id=self._dyn_counter, kind="trace", seq=fetched.seq,
                           domain=_WIDE, opcode=uop.opcode, uop=uop,
                           decision=decision,
                           value_uid=uop.uid if uop.has_dest else None)
@@ -1554,12 +1235,10 @@ class HelperClusterSimulator:
         self._dyn_counter += 1
         produces_value = uop.has_dest or uop.writes_flags
         parent = _DynUop(
-            self.hot.dyn,
             dyn_id=self._dyn_counter, kind="trace", seq=fetched.seq,
             domain=cluster, opcode=uop.opcode, uop=uop,
             decision=decision, value_uid=uop.uid if produces_value else None)
-        self.rob.allocate(uop.uid, fetched.seq, payload=parent,
-                          dyn_slot=parent.dyn_id)
+        self.rob.allocate(uop.uid, fetched.seq, payload=parent)
         parent.in_rob = True
         self.result.activity.rob_ops += 1
         self.result.activity.rename_ops += 1
@@ -1577,7 +1256,6 @@ class HelperClusterSimulator:
         for chunk in plan.chunks:
             self._dyn_counter += 1
             chunk_dyn = _DynUop(
-                self.hot.dyn,
                 dyn_id=self._dyn_counter, kind="chunk", seq=fetched.seq,
                 domain=cluster, opcode=chunk.opcode, uop=uop,
                 parent=parent, chunk_index=chunk.chunk_index,
@@ -1591,9 +1269,10 @@ class HelperClusterSimulator:
                 outstanding = resolved
             elif chunk.depends_on_previous and previous is not None:
                 outstanding = 1
-                self.hot.waiters.append_chunk(previous.dyn_id, chunk_dyn.dyn_id)
-            narrow_queue.insert_uop(chunk_dyn.dyn_id, fetched.seq, outstanding,
-                                    False, chunk_dyn)
+                self._waiters.setdefault(("chunk", previous.dyn_id), []).append(chunk_dyn)
+            narrow_queue.insert(IssueQueueEntry(
+                uid=chunk_dyn.dyn_id, seq=fetched.seq,
+                remaining_sources=outstanding, payload=chunk_dyn))
             helper_backend.stats.dispatched += 1
             self._account_dispatch(chunk_dyn, helper_backend)
             previous = chunk_dyn
@@ -1614,82 +1293,41 @@ class HelperClusterSimulator:
     # wakeup plumbing
     # ======================================================================
     # hot-path
-    def _wake_python(self, value_uid: Optional[int], domain: int) -> None:
-        """Walk (and free) the producer's waiter list for ``domain``.
-
-        Pure-python fallback of the compiled ``wakeup_waiters`` kernel:
-        skips squashed waiters and performs ``IssueQueue.wakeup`` inlined on
-        the slot columns — the arrays are authoritative while queued, so each
-        wake is one dict probe and one column update.
-        """
+    def _wake(self, value_uid: Optional[int], domain: ClockDomain) -> None:
         if value_uid is None:
             return
-        pool = self.hot.waiters
-        if value_uid >= pool.vcap:
+        waiters = self._waiters.pop((value_uid, domain), None)
+        if not waiters:
             return
-        lane = value_uid * pool.num_domains + domain
-        node = pool.value_heads[lane]
-        if node < 0:
-            return
-        pool.value_heads[lane] = -1
-        pool.value_tails[lane] = -1
-        node_dyn = pool.node_dyn
-        node_next = pool.node_next
-        free_node = pool.free_node
-        table = self.hot.dyn
-        flags = table.flags
-        dom_col = table.domain
         clusters = self.clusters
-        while node >= 0:
-            nxt = node_next[node]
-            d = node_dyn[node]
-            free_node(node)
-            node = nxt
-            if flags[d] & F_SQUASHED:
+        for dyn in waiters:
+            if dyn.squashed:
                 continue
-            iq = clusters[dom_col[d]].issue_queue
-            slot = iq.entries.get(d)
-            if slot is None:
+            # IssueQueue.wakeup inlined: one dict probe and one field update.
+            iq = clusters[dyn.domain].issue_queue
+            uid = dyn.dyn_id
+            entry = iq.entries.get(uid)
+            if entry is None:
                 continue
-            remaining = iq.remaining[slot] - 1
+            remaining = entry.remaining_sources - 1
             if remaining <= 0:
                 remaining = 0
-                iq.ready_entries[d] = slot
-            iq.remaining[slot] = remaining
+                iq.ready_entries[uid] = entry
+            entry.remaining_sources = remaining
 
-    # hot-path
-    def _wake_compiled(self, value_uid: Optional[int], domain: int) -> None:
-        """Route a producer's waiter walk through the compiled kernel."""
-        if value_uid is None:
+    def _wake_dyn(self, dyn: _DynUop) -> None:
+        if dyn.squashed:
             return
-        self._kernel.wakeup_waiters(self.hot.cstate, value_uid, domain)
+        backend = self.clusters[dyn.domain]
+        backend.issue_queue.wakeup(dyn.dyn_id)
+        # Chunk chains use a synthetic key; completing chunks wake successors.
 
     def _wake_chunk_successors(self, chunk: _DynUop) -> None:
-        """Wake the chunk-chain successors of a completing IR chunk."""
-        pool = self.hot.waiters
-        dyn_id = chunk.dyn_id
-        if dyn_id >= pool.ccap:
+        waiters = self._waiters.pop(("chunk", chunk.dyn_id), None)
+        if not waiters:
             return
-        node = pool.chunk_heads[dyn_id]
-        if node < 0:
-            return
-        pool.chunk_heads[dyn_id] = -1
-        pool.chunk_tails[dyn_id] = -1
-        node_dyn = pool.node_dyn
-        node_next = pool.node_next
-        free_node = pool.free_node
-        table = self.hot.dyn
-        flags = table.flags
-        dom_col = table.domain
-        clusters = self.clusters
-        while node >= 0:
-            nxt = node_next[node]
-            d = node_dyn[node]
-            free_node(node)
-            node = nxt
-            if flags[d] & F_SQUASHED:
-                continue
-            clusters[dom_col[d]].issue_queue.wakeup(d)
+        for dyn in waiters:
+            self._wake_dyn(dyn)
 
     # ======================================================================
     # sampling / finalisation
@@ -1741,34 +1379,7 @@ class HelperClusterSimulator:
         wide_iq.occupancy_accum += wide_occupancy
         wide_iq.ready_not_issued_accum += wide_ready_count
 
-    def _fold_stat_lanes(self) -> None:
-        """Fold kernel-side stat lanes into the Python counters.
-
-        The compiled dispatch kernels bump flat ``array('q')`` lanes instead
-        of Python attributes (per cluster: scheduler, regfile, alu, agu, fpu,
-        dispatched; then global rob/rename ops).  Nothing reads the counters
-        mid-run, so one additive fold before the power model runs is
-        equivalent to the fallback's direct increments.
-        """
-        lanes = self.hot.stat_lanes
-        for backend in self.clusters:
-            base = backend.index * 6
-            cluster = self._cluster_acts[backend.index]
-            cluster.scheduler_ops += lanes[base]
-            cluster.regfile_accesses += lanes[base + 1]
-            cluster.alu_ops += lanes[base + 2]
-            cluster.agu_ops += lanes[base + 3]
-            cluster.fpu_ops += lanes[base + 4]
-            backend.stats.dispatched += lanes[base + 5]
-        g = 6 * len(self.clusters)
-        self._activity.rob_ops += lanes[g]
-        self._activity.rename_ops += lanes[g + 1]
-        for i in range(len(lanes)):
-            lanes[i] = 0
-        self.copy_engine.sync_stats()
-
     def _finalise(self, final_cycle: int) -> None:
-        self._fold_stat_lanes()
         result = self.result
         result.fast_cycles = final_cycle
         result.slow_cycles = final_cycle / self.clocking.ratio
@@ -1846,15 +1457,7 @@ class HelperClusterSimulator:
 
 def simulate(trace: Trace, config: Optional[MachineConfig] = None,
              policy: Optional[SteeringPolicy] = None,
-             power: Optional[PowerConfig] = None,
-             backend: Optional[str] = None) -> SimulationResult:
-    """Convenience wrapper: build a simulator, run it, return the result.
-
-    ``backend`` forces the hot-state backend for this run (``"python"`` /
-    ``"compiled"``); None inherits the process default (``REPRO_BACKEND``
-    or auto-detection).  Backends are bit-identical by contract, so the
-    choice never changes the result — the supervised engine uses it to
-    degrade a job from the compiled to the pure-python backend on retry.
-    """
+             power: Optional[PowerConfig] = None) -> SimulationResult:
+    """Convenience wrapper: build a simulator, run it, return the result."""
     return HelperClusterSimulator(trace, config=config, policy=policy,
-                                  power=power, backend=backend).run()
+                                  power=power).run()

@@ -1,5 +1,5 @@
-"""Per-job supervision for the sweep engine: deadlines, retry, degrade,
-quarantine, pool respawn.
+"""Per-job supervision for the sweep engine: deadlines, retry, quarantine,
+pool respawn.
 
 The engine used to drain ``pool.imap`` bare: one worker segfault, one hung
 job or one raised exception killed (or wedged) the whole campaign with no
@@ -18,12 +18,6 @@ network survives link failure — detect, reroute, reconverge:
   neighbours with it.
 * **Retry with backoff** — failed/timed-out jobs are retried up to
   ``max_attempts`` with exponential backoff between attempts.
-* **Graceful degradation** — a job whose attempt failed under the compiled
-  backend is re-run with the pure-python backend (``degrade``); backends
-  are bit-identical by contract, so the result is unchanged and cacheable —
-  the degradation is recorded in the supervision report and CLI footer, not
-  in the result (stamping it there would break the bit-identity the whole
-  cache rests on).
 * **Quarantine** — a job that fails every attempt is recorded (with its
   full attempt history) instead of aborting the campaign; the engine writes
   the replayable ``failed-jobs.json`` ledger from these records.
@@ -45,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faultkit import FaultPlan, maybe_inject
-from repro.sim.hotstate import detected_backend
 
 
 def _now() -> float:
@@ -56,7 +49,7 @@ def _now() -> float:
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
-    """Retry/deadline/degradation policy for supervised job execution."""
+    """Retry/deadline policy for supervised job execution."""
 
     #: total attempts per job before quarantine (1 = no retries)
     max_attempts: int = 3
@@ -67,9 +60,6 @@ class SupervisorPolicy:
     #: seconds per thousand trace uops (generation + simulation + margin)
     timeout_base: float = 120.0
     timeout_per_kuop: float = 0.05
-    #: re-run a job that failed under the compiled backend with the pure
-    #: python backend (bit-identical by contract; recorded in the report)
-    degrade: bool = True
     #: re-read and digest-check every cache entry written by a supervised
     #: sweep, rewriting entries that fail to verify (heals same-run
     #: corruption so a resumed campaign starts from a clean cache)
@@ -113,12 +103,10 @@ class AttemptFailure:
     #: ``timeout`` | ``worker-death`` | ``error``
     reason: str
     error: str = ""
-    #: the backend this attempt ran ("python"/"compiled")
-    backend: str = ""
 
     def to_dict(self) -> dict:
         return {"attempt": self.attempt, "reason": self.reason,
-                "error": self.error, "backend": self.backend}
+                "error": self.error}
 
 
 @dataclass
@@ -140,8 +128,6 @@ class SweepReport:
     worker_errors: int = 0
     worker_deaths: int = 0
     pool_respawns: int = 0
-    #: job tokens re-run on the pure-python backend after a compiled failure
-    degraded: List[str] = field(default_factory=list)
     #: quarantine records: {"job": {...}, "key": ..., "attempts": [...]}
     quarantined: List[dict] = field(default_factory=list)
     #: verify-after-write repairs (entry failed its digest check re-read)
@@ -160,7 +146,7 @@ class SweepReport:
     def summary_line(self) -> Optional[str]:
         """Footer fragment, or None when nothing supervision-worthy happened."""
         interesting = (self.retries or self.timeouts or self.worker_deaths
-                       or self.pool_respawns or self.degraded
+                       or self.pool_respawns
                        or self.quarantined or self.resumed
                        or self.store_repairs or self.faults_fired)
         if not interesting:
@@ -176,9 +162,6 @@ class SweepReport:
             parts.append(f"worker-deaths={self.worker_deaths}")
         if self.pool_respawns:
             parts.append(f"pool-respawns={self.pool_respawns}")
-        if self.degraded:
-            parts.append(f"degraded={len(self.degraded)} "
-                         f"({', '.join(sorted(set(self.degraded))[:4])})")
         if self.store_repairs:
             parts.append(f"store-repairs={self.store_repairs}")
         if self.quarantined:
@@ -200,8 +183,6 @@ class _JobState:
     job: object
     token: str
     failures: List[AttemptFailure] = field(default_factory=list)
-    #: backend override for the next attempt (None = inherit)
-    backend: Optional[str] = None
     #: earliest monotonic time the next attempt may be submitted
     ready_at: float = 0.0
 
@@ -228,15 +209,10 @@ class JobSupervisor:
         self.report = report
 
     # -------------------------------------------------------------- shared
-    def _effective_backend(self, state: _JobState) -> str:
-        return state.backend or detected_backend()
-
     def _note_failure(self, state: _JobState, reason: str, error: str) -> bool:
         """Record a failed attempt; True when the job may be retried."""
-        backend = self._effective_backend(state)
         state.failures.append(AttemptFailure(
-            attempt=state.attempt, reason=reason, error=error,
-            backend=backend))
+            attempt=state.attempt, reason=reason, error=error))
         if reason == "timeout":
             self.report.timeouts += 1
         elif reason == "worker-death":
@@ -246,14 +222,6 @@ class JobSupervisor:
         if len(state.failures) >= self.policy.max_attempts:
             return False
         self.report.retries += 1
-        if self.policy.degrade and backend == "compiled":
-            # The degradation ladder: a failure under the compiled backend
-            # is retried on the pure-python backend (bit-identical results,
-            # so the cache entry is exactly what the fast path would have
-            # written).  Recorded once per job token.
-            state.backend = "python"
-            if state.token not in self.report.degraded:
-                self.report.degraded.append(state.token)
         state.ready_at = _now() + self.policy.backoff_for(len(state.failures))
         return True
 
@@ -266,15 +234,15 @@ class JobSupervisor:
 
         No deadline protection exists in-process (nothing could interrupt a
         hung simulation from inside the same thread); crash/hang faults
-        degrade to raised exceptions (see :func:`repro.faultkit.maybe_inject`).
+        become raised exceptions (see :func:`repro.faultkit.maybe_inject`).
         """
         for job in pending:
             state = _JobState(job=job, token=token_for(job))
             while True:
                 try:
                     maybe_inject(self.plan, state.token, state.attempt,
-                                 state.backend, in_worker=False)
-                    result = self.engine._execute_supervised(job, state.backend)
+                                 in_worker=False)
+                    result = self.engine._execute_supervised(job)
                 except KeyboardInterrupt:
                     raise
                 except Exception as exc:  # noqa: BLE001 — any failure retries
@@ -347,8 +315,8 @@ class JobSupervisor:
                 if index is None:
                     break
                 state = queue.pop(index)
-                task = self.engine._task_blob(state.job, state.backend,
-                                              state.attempt, state.token)
+                task = self.engine._task_blob(state.job, state.attempt,
+                                              state.token)
                 try:
                     handle = pool.apply_async(_worker_entry, (task,))
                 except Exception as exc:  # noqa: BLE001 — broken pool

@@ -3,18 +3,28 @@
 The engine's core contract is that *how* a sweep executes — serially in one
 process, fanned over a worker pool, or replayed from the on-disk cache —
 never changes *what* it computes.  These tests pin that contract, plus the
-cache's corruption handling and the determinism of trace generation itself.
+cache's corruption handling, the determinism of trace generation itself,
+the engine's lifecycle (private directories, prompt pool shutdown) and the
+worker-count clamp.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
 from repro.core.config import helper_cluster_config
 from repro.sim.cache import ResultCache, result_key
-from repro.sim.engine import SweepEngine, SweepJob, execute_job, job_seed
+from repro.sim.engine import (
+    SweepEngine,
+    SweepJob,
+    available_cpus,
+    default_jobs,
+    execute_job,
+    job_seed,
+)
 from repro.sim.experiment import ExperimentRunner, run_spec_suite
 from repro.sim.metrics import SimulationResult
 from repro.trace.profiles import get_profile
@@ -264,3 +274,69 @@ class TestEngineLifecycle:
         del engine
         gc.collect()
         assert not store_dir.exists()
+
+    def test_close_after_a_healthy_parallel_sweep_is_prompt(self):
+        """A healthy pool shuts down in milliseconds; only a wedged one
+        waits out the teardown grace period."""
+        engine = SweepEngine(config=helper_cluster_config(), jobs=2,
+                             allow_oversubscribe=True)
+        try:
+            jobs = [SweepJob(bench, policy, 500, SEED)
+                    for bench in BENCHMARKS for policy in POLICIES]
+            assert len(engine.run_jobs(jobs)) == len(jobs)
+        finally:
+            started = time.perf_counter()
+            engine.close()
+            elapsed = time.perf_counter() - started
+        assert elapsed < 1.0, f"close() took {elapsed:.2f} s"
+
+
+# ---------------------------------------------------------------------------
+# worker-count clamping
+# ---------------------------------------------------------------------------
+class TestSweepEngineJobClamp:
+    def test_oversubscribed_request_is_clamped(self):
+        engine = SweepEngine(jobs=available_cpus() + 63)
+        try:
+            assert engine.jobs == available_cpus()
+            assert engine.jobs_clamped_from == available_cpus() + 63
+        finally:
+            engine.close()
+
+    def test_explicit_override_keeps_the_request(self):
+        engine = SweepEngine(jobs=available_cpus() + 3,
+                             allow_oversubscribe=True)
+        try:
+            assert engine.jobs == available_cpus() + 3
+            assert engine.jobs_clamped_from is None
+        finally:
+            engine.close()
+
+    def test_auto_and_serial_are_not_clamped(self):
+        auto = SweepEngine(jobs=0)
+        serial = SweepEngine(jobs=1)
+        try:
+            assert auto.jobs == default_jobs()
+            assert auto.jobs_clamped_from is None
+            assert serial.jobs == 1
+            assert serial.jobs_clamped_from is None
+        finally:
+            auto.close()
+            serial.close()
+
+    def test_clamp_is_reported_in_the_cache_footer(self, tmp_path):
+        from repro.sim.reporting import cache_stats_line
+        cache = ResultCache(tmp_path / "cache")
+        engine = SweepEngine(jobs=available_cpus() + 7, cache=cache)
+        try:
+            line = cache_stats_line(cache, engine=engine)
+            assert "clamped from" in line
+            assert f"jobs={engine.jobs}" in line
+            # An unclamped engine adds nothing.
+            serial = SweepEngine(jobs=1)
+            try:
+                assert "clamped" not in cache_stats_line(cache, engine=serial)
+            finally:
+                serial.close()
+        finally:
+            engine.close()

