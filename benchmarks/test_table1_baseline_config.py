@@ -39,19 +39,19 @@ def test_table1_baseline_config(benchmark):
     assert config.memory.ul1.associativity == 16
     assert config.memory.ul1.hit_latency == 13
     assert config.memory.main_memory_latency == 450
-    assert config.scheduler.queue_size == 32
-    assert config.scheduler.issue_width == 3
-    # The FP scheduler of Table 1 is the host cluster's FP-capable one.
-    host = config.cluster_topology().host
+    # The integer and FP schedulers of Table 1 are the host cluster's
+    # FP-capable one.
+    host = config.topology.host
     assert host.queue_size == 32
     assert host.issue_width == 3
     assert host.has_fp
     assert config.commit_width == 6
-    assert not config.helper.enabled
+    assert config.topology.num_helpers == 0
 
     # The helper-cluster machine adds only the §2 parameters on top.
-    assert helper.helper.enabled
-    assert helper.helper.narrow_width == 8
-    assert helper.helper.clock_ratio == 2
+    assert helper.topology.host == host
+    assert helper.topology.num_helpers == 1
+    assert helper.topology.helpers[0].datapath_width == 8
+    assert helper.topology.helpers[0].clock_ratio == 2
     assert helper.predictor.table_entries == 256
     assert result.committed_uops == len(trace)

@@ -19,15 +19,13 @@ paper on top of the pipeline/memory substrates:
   serializable :class:`~repro.core.steering.PolicySpec` records and the
   policy registry that :func:`~repro.core.steering.make_policy` builds from.
 * :mod:`repro.core.selection` — cluster selectors resolving steering intent
-  (concrete targets or declarative width/FP/memory requirements) to a
+  (concrete targets or declarative width/FP requirements) to a
   topology cluster.
 """
 
 from repro.core.config import (
-    HelperClusterConfig,
     MachineConfig,
     PredictorConfig,
-    SchedulerConfig,
     baseline_config,
     helper_cluster_config,
     helper_topology,
@@ -50,7 +48,7 @@ from repro.core.predictors import (
     CopyPrefetchPredictor,
     PredictorStats,
 )
-from repro.core.cluster import Backend, BackendKind
+from repro.core.cluster import Backend
 from repro.core.imbalance import ImbalanceMonitor, ImbalanceSample
 from repro.core.copy_engine import CopyEngine, CopyRequest, CopyStats
 from repro.core.splitting import InstructionSplitter, SplitPlan, SplitChunk
@@ -70,10 +68,8 @@ from repro.core.steering import (
 )
 
 __all__ = [
-    "HelperClusterConfig",
     "MachineConfig",
     "PredictorConfig",
-    "SchedulerConfig",
     "baseline_config",
     "helper_cluster_config",
     "helper_topology",
@@ -92,7 +88,6 @@ __all__ = [
     "CopyPrefetchPredictor",
     "PredictorStats",
     "Backend",
-    "BackendKind",
     "ImbalanceMonitor",
     "ImbalanceSample",
     "CopyEngine",

@@ -6,33 +6,17 @@ in.  Backends are built from :class:`~repro.core.config.ClusterSpec` records:
 cluster 0 is the host (the paper's wide 32-bit backend, which also hosts the
 floating point queue/units, §2.1), every further cluster is a helper backend
 clocked at its spec's ratio.
-
-The :class:`BackendKind` enum and the ``Backend(kind, config)`` constructor
-of the original two-cluster API are kept as shims over the cluster-indexed
-form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.config import ClusterSpec, MachineConfig
 from repro.pipeline.clocking import ClockDomain, ClockingModel
 from repro.pipeline.execute import ExecutionUnitPool
 from repro.pipeline.scheduler import IssueQueue
-
-
-class BackendKind(Enum):
-    """Which of the paper's two backends a structure belongs to (shim)."""
-
-    WIDE = "wide"
-    NARROW = "narrow"
-
-    @property
-    def domain(self) -> ClockDomain:
-        return ClockDomain.WIDE if self is BackendKind.WIDE else ClockDomain.NARROW
 
 
 @dataclass
@@ -52,42 +36,19 @@ class Backend:
 
     Parameters
     ----------
-    spec_or_kind:
-        A :class:`ClusterSpec` (the topology form) or a :class:`BackendKind`
-        (the original two-cluster shim, which resolves the spec from
-        ``config.cluster_topology()``).
+    spec:
+        The cluster's :class:`ClusterSpec`.
     config:
         The machine configuration the backend belongs to.
     clocking:
         Clock model shared by all backends of a machine.
     index:
-        Cluster index in the topology (0 = host).  Implied by the kind in
-        the shim form.
+        Cluster index in the topology (0 = host).
     """
 
-    def __init__(self, spec_or_kind: Union[ClusterSpec, BackendKind],
-                 config: MachineConfig,
-                 clocking: Optional[ClockingModel] = None,
-                 index: Optional[int] = None) -> None:
-        if isinstance(spec_or_kind, BackendKind):
-            topology = config.cluster_topology()
-            index = 0 if spec_or_kind is BackendKind.WIDE else 1
-            if index < len(topology.clusters):
-                spec = topology.clusters[index]
-            else:
-                # A narrow backend of a host-only machine (the original code
-                # always built both): synthesise the shim's helper spec.
-                spec = ClusterSpec(
-                    name="narrow", datapath_width=config.helper.narrow_width,
-                    clock_ratio=config.helper.clock_ratio,
-                    issue_width=config.scheduler.issue_width,
-                    queue_size=config.scheduler.queue_size,
-                    memory_ports=config.scheduler.memory_ports,
-                    has_fp=config.helper.has_fp)
-        else:
-            spec = spec_or_kind
-            if index is None:
-                raise ValueError("a cluster index is required with a ClusterSpec")
+    def __init__(self, spec: ClusterSpec, config: MachineConfig,
+                 clocking: Optional[ClockingModel] = None, *,
+                 index: int) -> None:
         self.spec = spec
         self.index = index
         self.config = config
@@ -95,7 +56,6 @@ class Backend:
         self.issue_queue = IssueQueue(
             size=spec.queue_size,
             issue_width=spec.issue_width,
-            memory_ports=spec.memory_ports,
         )
         self.units = ExecutionUnitPool(
             domain=self.domain,
@@ -106,19 +66,10 @@ class Backend:
 
     # ----------------------------------------------------------------- domain
     @property
-    def kind(self) -> BackendKind:
-        """Two-cluster shim view: the host is WIDE, every helper is NARROW."""
-        return BackendKind.WIDE if self.index == 0 else BackendKind.NARROW
-
-    @property
     def domain(self) -> int:
         """Clock domain (= cluster index; a :class:`ClockDomain` member for
         the paper's pair so existing identity checks keep working)."""
         return ClockDomain(self.index) if self.index < 2 else self.index
-
-    @property
-    def is_narrow(self) -> bool:
-        return self.index != 0
 
     def active(self, fast_cycle: int) -> bool:
         """Whether this backend gets an issue opportunity this fast cycle."""
@@ -130,17 +81,12 @@ class Backend:
         """Datapath width in bits."""
         return self.spec.datapath_width
 
-    def can_execute_width(self, value_is_narrow: bool) -> bool:
-        """Whether a value of the given width class fits this backend's datapath."""
-        return True if not self.is_narrow else value_is_narrow
-
     # ------------------------------------------------------------------ reset
     def reset(self) -> None:
         spec = self.spec
         self.issue_queue = IssueQueue(
             size=spec.queue_size,
             issue_width=spec.issue_width,
-            memory_ports=spec.memory_ports,
         )
         self.units.reset()
         self.stats = BackendStats()

@@ -10,37 +10,20 @@ one 8-bit helper at a 2x clock); the monolithic baseline is
 ``monolithic_topology()`` (the host alone).
 
 ``MachineConfig`` bundles the topology with everything else the simulator
-needs: frontend and memory parameters of the monolithic baseline (Table 1),
-the predictor configuration, and — for backwards compatibility — the
-two-cluster :class:`HelperClusterConfig` shim of the original API.  When no
-explicit topology is given, one is derived from the shim, so
-``baseline_config()`` / ``helper_cluster_config()`` / ``with_helper()`` keep
-working unchanged on top of topologies.
+needs: frontend and memory parameters of the monolithic baseline (Table 1)
+and the predictor configuration.  ``baseline_config()`` and
+``helper_cluster_config()`` are the two canned machines, both built by
+``topology_config()``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.isa.values import MACHINE_WIDTH, NARROW_WIDTH
-from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import MemoryConfig
 from repro.memory.tracecache import TraceCacheConfig
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Per-backend scheduler resources (Table 1: 32-entry, 3-issue)."""
-
-    queue_size: int = 32
-    issue_width: int = 3
-    memory_ports: int = 2
-
-    def __post_init__(self) -> None:
-        if self.queue_size <= 0 or self.issue_width <= 0 or self.memory_ports <= 0:
-            raise ValueError("scheduler parameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -78,16 +61,13 @@ class ClusterSpec:
     #: Clock multiplier relative to the host cluster (§2.2; 2 at the paper's
     #: design point — narrower datapaths close timing at higher frequency).
     clock_ratio: int = 1
-    #: Scheduler resources (Table 1: 32-entry, 3-issue, 2 memory ports).
+    #: Scheduler resources (Table 1: 32-entry, 3-issue).  Memory issue is
+    #: limited by the shared DL0 ports, not per cluster.
     issue_width: int = 3
     queue_size: int = 32
-    memory_ports: int = 2
     #: Whether the cluster has FP units (§2.1: the helper backend has integer
     #: units only).
     has_fp: bool = False
-    #: Latency of an inter-cluster copy executed in this cluster, in slow
-    #: cycles (issue in the producer cluster + transfer to the consumer).
-    copy_latency_slow: int = 2
     #: Recovery penalty of a flushing squash triggered in this cluster, in
     #: slow cycles (§3.2).
     flush_penalty_slow: int = 5
@@ -106,10 +86,8 @@ class ClusterSpec:
                 f"({MACHINE_WIDTH}), got {self.datapath_width}")
         if self.clock_ratio < 1:
             raise ValueError("cluster clock ratio must be >= 1")
-        if self.issue_width <= 0 or self.queue_size <= 0 or self.memory_ports <= 0:
+        if self.issue_width <= 0 or self.queue_size <= 0:
             raise ValueError("cluster scheduler parameters must be positive")
-        if self.copy_latency_slow < 1:
-            raise ValueError("copy latency must be >= 1 slow cycle")
         if self.flush_penalty_slow < 0:
             raise ValueError("flush penalty must be non-negative")
 
@@ -199,62 +177,9 @@ class Topology:
             return None
         return min(spec.datapath_width for spec in self.helpers)
 
-    @property
-    def flush_penalty_slow(self) -> int:
-        """Recovery penalty used by the shared recovery manager."""
-        if self.helpers:
-            return self.helpers[0].flush_penalty_slow
-        return self.host.flush_penalty_slow
-
     def to_key_dict(self) -> dict:
         """Canonical, JSON-serialisable form (cache keys, reports)."""
         return {"clusters": [spec.to_key_dict() for spec in self.clusters]}
-
-
-@dataclass(frozen=True)
-class HelperClusterConfig:
-    """Parameters of the narrow helper backend (§2).
-
-    .. deprecated::
-        This is the original two-cluster shim; new code should describe the
-        machine with a :class:`Topology` (``MachineConfig.with_topology`` /
-        ``helper_topology``).  The shim is kept so existing configs, examples
-        and tests run unmodified: when ``MachineConfig.topology`` is unset,
-        the topology is derived from these fields.
-    """
-
-    #: Whether the helper cluster exists (False = monolithic baseline).
-    enabled: bool = True
-    #: Narrow datapath width in bits (8 in the paper's design point).
-    narrow_width: int = NARROW_WIDTH
-    #: Helper-to-wide clock ratio (2 in §2.2).
-    clock_ratio: int = 2
-    #: The helper backend has integer units only (no FPUs), §2.1.
-    has_fp: bool = False
-    #: Latency of an inter-cluster copy in slow cycles (issue in the producer
-    #: cluster + transfer to the consumer's register file).
-    copy_latency_slow: int = 2
-    #: Recovery penalty of a flushing squash, in slow cycles (§3.2).
-    flush_penalty_slow: int = 5
-
-    def __post_init__(self) -> None:
-        if self.narrow_width <= 0 or self.narrow_width > MACHINE_WIDTH:
-            raise ValueError("narrow width must be in (0, machine width]")
-        if MACHINE_WIDTH % self.narrow_width:
-            raise ValueError(
-                f"narrow width must divide the machine width "
-                f"({MACHINE_WIDTH}), got {self.narrow_width}")
-        if self.clock_ratio < 1:
-            raise ValueError("clock ratio must be >= 1")
-        if self.copy_latency_slow < 1:
-            raise ValueError("copy latency must be >= 1 slow cycle")
-        if self.flush_penalty_slow < 0:
-            raise ValueError("flush penalty must be non-negative")
-
-    @property
-    def split_chunks(self) -> int:
-        """Number of narrow chunks a wide instruction splits into (§3.7)."""
-        return max(1, MACHINE_WIDTH // self.narrow_width)
 
 
 @dataclass(frozen=True)
@@ -267,78 +192,34 @@ class MachineConfig:
     commit_width: int = 6
     #: Reorder buffer capacity (in-flight uops).
     rob_size: int = 128
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     trace_cache: TraceCacheConfig = field(default_factory=TraceCacheConfig)
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
-    helper: HelperClusterConfig = field(default_factory=HelperClusterConfig)
-    #: Explicit cluster topology.  ``None`` derives a topology from the
-    #: two-cluster ``helper`` shim above (the original API).
-    topology: Optional[Topology] = None
+    #: The execution clusters; the default is the paper's design point.
+    topology: Topology = field(default_factory=lambda: helper_topology())
 
     def __post_init__(self) -> None:
         if self.fetch_width <= 0 or self.commit_width <= 0 or self.rob_size <= 0:
             raise ValueError("frontend/commit/ROB parameters must be positive")
-
-    # ------------------------------------------------------------- topology
-    def cluster_topology(self) -> Topology:
-        """The machine's topology, deriving one from the shim when unset.
-
-        The derivation *is* :func:`helper_topology` — one construction path
-        for canned topologies and the deprecated two-cluster shim alike, so
-        the shim cannot drift from the topology API (the degeneracy pins in
-        ``tests/test_topology.py`` hold by construction).
-        """
-        if self.topology is not None:
-            return self.topology
-        helper = self.helper
-        return helper_topology(
-            narrow_width=helper.narrow_width,
-            clock_ratio=helper.clock_ratio,
-            helpers=1 if helper.enabled else 0,
-            scheduler=self.scheduler,
-            has_fp=helper.has_fp,
-            copy_latency_slow=helper.copy_latency_slow,
-            flush_penalty_slow=helper.flush_penalty_slow)
 
     # ------------------------------------------------------------- derived
     @property
     def narrow_width(self) -> int:
         """Narrowest helper datapath width.
 
-        Falls back to the shim's ``narrow_width`` for host-only machines so
-        width-accounting (predictor training, Figure 5 statistics) of the
-        monolithic baseline is unchanged by the topology refactor.
+        A host-only machine classifies values at the paper's 8-bit width, so
+        the width accounting (predictor training, Figure 5 statistics) of the
+        monolithic baseline matches the helper machine's.
         """
-        if self.topology is not None:
-            width = self.topology.narrow_width
-            if width is not None:
-                return width
-        return self.helper.narrow_width
+        width = self.topology.narrow_width
+        return NARROW_WIDTH if width is None else width
 
     @property
     def clock_ratio(self) -> int:
-        if self.topology is not None:
-            return self.topology.max_clock_ratio
-        return self.helper.clock_ratio if self.helper.enabled else 1
-
-    def with_helper(self, **overrides) -> "MachineConfig":
-        """Return a copy with helper-cluster fields overridden.
-
-        .. deprecated:: prefer :meth:`with_topology`.  Kept as a thin shim:
-            it clears any explicit topology so the result is re-derived from
-            the updated two-cluster fields.
-        """
-        warnings.warn(
-            "MachineConfig.with_helper() and the HelperClusterConfig shim are "
-            "deprecated; describe the machine with a Topology "
-            "(MachineConfig.with_topology / helper_topology)",
-            DeprecationWarning, stacklevel=2)
-        return replace(self, helper=replace(self.helper, **overrides),
-                       topology=None)
+        return self.topology.max_clock_ratio
 
     def with_topology(self, topology: Topology) -> "MachineConfig":
-        """Return a copy using an explicit cluster topology."""
+        """Return a copy using another cluster topology."""
         return replace(self, topology=topology)
 
     def with_predictor(self, **overrides) -> "MachineConfig":
@@ -346,22 +227,13 @@ class MachineConfig:
         return replace(self, predictor=replace(self.predictor, **overrides))
 
     def with_scheduler(self, **overrides) -> "MachineConfig":
-        """Return a copy with (integer) scheduler fields overridden.
+        """Return a copy with the scheduler fields (``queue_size``,
+        ``issue_width``) of every cluster overridden.
 
-        Like the original shim, one ``SchedulerConfig`` governs every
-        backend: with an explicit topology the overrides are applied to all
-        of its clusters (use :meth:`with_topology` for per-cluster tuning).
+        Use :meth:`with_topology` for per-cluster tuning.
         """
-        scheduler = replace(self.scheduler, **overrides)
-        topology = self.topology
-        if topology is not None:
-            topology = Topology(tuple(
-                replace(spec,
-                        issue_width=scheduler.issue_width,
-                        queue_size=scheduler.queue_size,
-                        memory_ports=scheduler.memory_ports)
-                for spec in topology.clusters))
-        return replace(self, scheduler=scheduler, topology=topology)
+        return self.with_topology(Topology(tuple(
+            replace(spec, **overrides) for spec in self.topology.clusters)))
 
     # -------------------------------------------------------------- caching
     def to_key_dict(self) -> dict:
@@ -371,38 +243,35 @@ class MachineConfig:
         This is the cache-key contract (see DESIGN.md): the
         :class:`~repro.sim.cache.ResultCache` key is a SHA-256 over this
         dictionary's sorted-key JSON form, so *any* config field change —
-        including nested scheduler/memory/predictor/cluster fields — changes
-        the key and can never be served a stale result.
+        including nested memory/predictor/cluster fields — changes the key
+        and can never be served a stale result.
         """
         return {
             "fetch_width": self.fetch_width,
             "commit_width": self.commit_width,
             "rob_size": self.rob_size,
-            "scheduler": asdict(self.scheduler),
             "memory": asdict(self.memory),
             "trace_cache": asdict(self.trace_cache),
             "predictor": asdict(self.predictor),
-            "helper": asdict(self.helper),
-            "topology": self.cluster_topology().to_key_dict(),
-            "explicit_topology": self.topology is not None,
+            "topology": self.topology.to_key_dict(),
         }
 
 
 # ---------------------------------------------------------------- topologies
-def monolithic_topology(scheduler: Optional[SchedulerConfig] = None) -> Topology:
+def _host_spec(flush_penalty_slow: int = 5) -> ClusterSpec:
+    """The paper's wide 32-bit host cluster with the FP units."""
+    return ClusterSpec(name="wide", has_fp=True,
+                       flush_penalty_slow=flush_penalty_slow)
+
+
+def monolithic_topology() -> Topology:
     """A host-only topology: the monolithic baseline of §3.1."""
-    scheduler = scheduler or SchedulerConfig()
-    return Topology((ClusterSpec(
-        name="wide", datapath_width=MACHINE_WIDTH, clock_ratio=1,
-        issue_width=scheduler.issue_width, queue_size=scheduler.queue_size,
-        memory_ports=scheduler.memory_ports, has_fp=True),))
+    return Topology((_host_spec(),))
 
 
 def helper_topology(narrow_width: int = NARROW_WIDTH, clock_ratio: int = 2,
                     helpers: int = 1,
-                    scheduler: Optional[SchedulerConfig] = None,
                     has_fp: bool = False,
-                    copy_latency_slow: int = 2,
                     flush_penalty_slow: int = 5) -> Topology:
     """A wide host plus ``helpers`` identical narrow backends.
 
@@ -412,28 +281,17 @@ def helper_topology(narrow_width: int = NARROW_WIDTH, clock_ratio: int = 2,
     """
     if helpers < 0:
         raise ValueError("helper count must be non-negative")
-    scheduler = scheduler or SchedulerConfig()
-    host = ClusterSpec(
-        name="wide", datapath_width=MACHINE_WIDTH, clock_ratio=1,
-        issue_width=scheduler.issue_width, queue_size=scheduler.queue_size,
-        memory_ports=scheduler.memory_ports, has_fp=True,
-        copy_latency_slow=copy_latency_slow,
-        flush_penalty_slow=flush_penalty_slow)
     names = (["narrow"] if helpers == 1
              else [f"narrow{i}" for i in range(helpers)])
     specs = [ClusterSpec(
         name=name, datapath_width=narrow_width, clock_ratio=clock_ratio,
-        issue_width=scheduler.issue_width, queue_size=scheduler.queue_size,
-        memory_ports=scheduler.memory_ports, has_fp=has_fp,
-        copy_latency_slow=copy_latency_slow,
-        flush_penalty_slow=flush_penalty_slow) for name in names]
-    return Topology(tuple([host] + specs))
+        has_fp=has_fp, flush_penalty_slow=flush_penalty_slow)
+        for name in names]
+    return Topology(tuple([_host_spec(flush_penalty_slow)] + specs))
 
 
 def mixed_helper_topology(helper_shapes: Sequence[Tuple[int, int]],
-                          scheduler: Optional[SchedulerConfig] = None,
                           has_fp: bool = False,
-                          copy_latency_slow: int = 2,
                           flush_penalty_slow: int = 5) -> Topology:
     """A wide host plus an asymmetric mix of helper backends.
 
@@ -444,14 +302,7 @@ def mixed_helper_topology(helper_shapes: Sequence[Tuple[int, int]],
     """
     if not helper_shapes:
         raise ValueError("at least one helper shape is required")
-    scheduler = scheduler or SchedulerConfig()
-    host = ClusterSpec(
-        name="wide", datapath_width=MACHINE_WIDTH, clock_ratio=1,
-        issue_width=scheduler.issue_width, queue_size=scheduler.queue_size,
-        memory_ports=scheduler.memory_ports, has_fp=True,
-        copy_latency_slow=copy_latency_slow,
-        flush_penalty_slow=flush_penalty_slow)
-    specs = [host]
+    specs = [_host_spec(flush_penalty_slow)]
     seen: Dict[str, int] = {}
     for width, ratio in helper_shapes:
         name = f"n{width}x{ratio}"
@@ -461,10 +312,7 @@ def mixed_helper_topology(helper_shapes: Sequence[Tuple[int, int]],
             name = f"{name}_{count}"
         specs.append(ClusterSpec(
             name=name, datapath_width=width, clock_ratio=ratio,
-            issue_width=scheduler.issue_width, queue_size=scheduler.queue_size,
-            memory_ports=scheduler.memory_ports, has_fp=has_fp,
-            copy_latency_slow=copy_latency_slow,
-            flush_penalty_slow=flush_penalty_slow))
+            has_fp=has_fp, flush_penalty_slow=flush_penalty_slow))
     return Topology(tuple(specs))
 
 
@@ -487,7 +335,7 @@ def random_topology(rng, max_helpers: int = 3) -> Topology:
     drawn from the pools above: helper count 0..``max_helpers``, datapath
     widths (including full-width and the awkward non-power-of-two 24-bit
     case), clock ratios, per-cluster scheduler resources, FU mix
-    (``has_fp`` helpers included) and copy/flush latencies.  Constraints
+    (``has_fp`` helpers included) and flush penalties.  Constraints
     the dataclass validators enforce — helper width <= host width, unique
     names, positive resources — hold by construction, so every returned
     topology is simulatable.
@@ -500,13 +348,11 @@ def random_topology(rng, max_helpers: int = 3) -> Topology:
         return {
             "issue_width": rng.randint(1, 4),
             "queue_size": rng.choice(RANDOM_QUEUE_SIZES),
-            "memory_ports": rng.randint(1, 3),
         }
 
     host = ClusterSpec(
         name="wide", datapath_width=MACHINE_WIDTH, clock_ratio=1,
         has_fp=True,
-        copy_latency_slow=rng.randint(1, 4),
         flush_penalty_slow=rng.randint(0, 8),
         **scheduler_draw())
     specs = [host]
@@ -517,7 +363,6 @@ def random_topology(rng, max_helpers: int = 3) -> Topology:
             name=f"fz{index}_{width}x{ratio}",
             datapath_width=width, clock_ratio=ratio,
             has_fp=rng.random() < 0.2,
-            copy_latency_slow=rng.randint(1, 4),
             flush_penalty_slow=rng.randint(0, 8),
             **scheduler_draw()))
     return Topology(tuple(specs))
@@ -525,10 +370,9 @@ def random_topology(rng, max_helpers: int = 3) -> Topology:
 
 def topology_config(topology: Topology, predictor_entries: int = 256,
                     use_confidence: bool = True) -> MachineConfig:
-    """A :class:`MachineConfig` around an explicit topology."""
+    """A :class:`MachineConfig` around ``topology``."""
     return MachineConfig(
         topology=topology,
-        helper=HelperClusterConfig(enabled=topology.num_helpers > 0),
         predictor=PredictorConfig(table_entries=predictor_entries,
                                   use_confidence=use_confidence),
     )
@@ -536,25 +380,15 @@ def topology_config(topology: Topology, predictor_entries: int = 256,
 
 def baseline_config() -> MachineConfig:
     """The monolithic baseline: Table 1 resources, no helper cluster."""
-    return MachineConfig(helper=HelperClusterConfig(enabled=False))
+    return topology_config(monolithic_topology())
 
 
 def helper_cluster_config(narrow_width: int = NARROW_WIDTH, clock_ratio: int = 2,
                           predictor_entries: int = 256,
                           use_confidence: bool = True) -> MachineConfig:
-    """The baseline augmented with the 8-bit helper cluster of §2.
-
-    .. deprecated:: prefer :func:`topology_config` around
-        :func:`helper_topology` for new code; this remains the canned paper
-        design point and is equivalent to
-        ``topology_config(helper_topology(narrow_width, clock_ratio))``.
-    """
-    return MachineConfig(
-        helper=HelperClusterConfig(enabled=True, narrow_width=narrow_width,
-                                   clock_ratio=clock_ratio),
-        predictor=PredictorConfig(table_entries=predictor_entries,
-                                  use_confidence=use_confidence),
-    )
+    """The baseline augmented with the 8-bit helper cluster of §2."""
+    return topology_config(helper_topology(narrow_width, clock_ratio),
+                           predictor_entries, use_confidence)
 
 
 #: Table 1 of the paper, as a report-friendly mapping.  Used by the

@@ -4,8 +4,7 @@ The steering API separates *intent* from *placement*.  A
 :class:`~repro.core.steering.SteeringPolicy` returns a
 :class:`~repro.core.steering.SteerDecision` that either names a concrete
 ``target_cluster`` (an index into the topology) or carries a declarative
-:class:`ClusterRequirement` (minimum datapath width, FP need, memory-port
-need).  A shared, policy-visible :class:`ClusterSelector` — bound to the
+:class:`ClusterRequirement` (minimum datapath width, FP need).  A shared, policy-visible :class:`ClusterSelector` — bound to the
 simulator's backends at construction — resolves that intent to a cluster
 index once per dispatched uop, replacing the helper-resolution logic that
 used to live inside the simulator's hot loop.
@@ -45,23 +44,17 @@ class ClusterRequirement:
     ``min_width`` is the number of bits the uop's operand/result values are
     expected to need (two's-complement width, see
     :func:`repro.isa.values.value_width`); a cluster can host the uop only
-    if its datapath is at least that wide.  ``needs_memory_port`` is
-    future-proofing: every :class:`ClusterSpec` currently validates
-    ``memory_ports >= 1``, so it only starts filtering if port-less
-    clusters become expressible.
+    if its datapath is at least that wide.
     """
 
     min_width: int = 1
     needs_fp: bool = False
-    needs_memory_port: bool = False
 
     def satisfied_by(self, spec: ClusterSpec, width_margin: int = 0) -> bool:
         """Whether a cluster of the given spec can execute the uop."""
         if spec.datapath_width < self.min_width + width_margin:
             return False
         if self.needs_fp and not spec.has_fp:
-            return False
-        if self.needs_memory_port and spec.memory_ports <= 0:
             return False
         return True
 

@@ -97,7 +97,7 @@ class SteerDecision:
     #: concrete topology cluster index the policy demands, or ``None`` to
     #: let the selector choose
     target_cluster: Optional[int] = None
-    #: declarative placement needs (min datapath width, FP, memory port)
+    #: declarative placement needs (min datapath width, FP)
     requirement: Optional[ClusterRequirement] = None
     #: the uop was steered narrow based on a width prediction (8-8-8); a
     #: wrong prediction is fatal and triggers flushing recovery
@@ -145,7 +145,7 @@ class SteeringContext:
         # Topology facts hoisted out of the per-uop steer loop; recomputed
         # only when the context's config object is swapped.
         if self._topology_of is not self.config:
-            topology = self.config.cluster_topology()
+            topology = self.config.topology
             self._topology_of = self.config
             self._num_helpers = topology.num_helpers
             self._helper_fp_available = any(spec.has_fp for spec in topology.helpers)
@@ -346,7 +346,7 @@ class DataWidthSteering(SteeringPolicy):
                 and prediction.width_bits is not None
                 and prediction.width_bits > bits):
             bits = prediction.width_bits
-        return ClusterRequirement(min_width=bits, needs_memory_port=uop.is_memory)
+        return ClusterRequirement(min_width=bits)
 
     def _helper_supports(self, uop: MicroOp, ctx: SteeringContext) -> bool:
         """Whether some helper backend can execute the uop.
@@ -464,8 +464,7 @@ class DataWidthSteering(SteeringPolicy):
                 # source's upper bits are reused), so any helper at least
                 # that wide qualifies regardless of the operand's full width.
                 cr_requirement = (ClusterRequirement(
-                    min_width=self._ctx_narrow_width,
-                    needs_memory_port=addresses_memory)
+                    min_width=self._ctx_narrow_width)
                     if self._ctx_width_steering else None)
                 stats.to_narrow += 1
                 stats.narrow_by_cr += 1

@@ -46,7 +46,7 @@ from repro.trace.synthetic import generate_trace
 from repro.trace.trace import Trace
 
 #: Corpus-entry / case-dictionary format; bump when the layout changes.
-CASE_FORMAT = 1
+CASE_FORMAT = 2
 
 #: Pools for the machine-level knobs (the topology pools live next to
 #: :func:`repro.core.config.random_topology`).

@@ -51,8 +51,7 @@ from repro.trace.trace import Trace
 #: The paper's helper spec — the normal form shrinking drives helpers to.
 _DEFAULT_HELPER = ClusterSpec(name="shrunk_helper", datapath_width=8,
                               clock_ratio=2, issue_width=3, queue_size=32,
-                              memory_ports=2, has_fp=False,
-                              copy_latency_slow=2, flush_penalty_slow=5)
+                              has_fp=False, flush_penalty_slow=5)
 
 #: Floor for shrinking trace lengths (a shrunk case may undercut the
 #: generator's band — it only has to stay a valid, still-failing scenario).

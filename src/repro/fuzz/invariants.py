@@ -64,7 +64,7 @@ def check_result_invariants(result: SimulationResult, config: MachineConfig,
                             trace_uops: int,
                             power_enabled: bool = True) -> List[str]:
     """Return every invariant the finished result violates (empty = clean)."""
-    topology: Topology = config.cluster_topology()
+    topology: Topology = config.topology
     violations: List[str] = []
 
     def bad(message: str) -> None:

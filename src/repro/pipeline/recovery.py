@@ -38,34 +38,26 @@ class RecoveryManager:
 
     Parameters
     ----------
-    flush_penalty_slow:
-        Number of wide-cluster cycles between detecting the fatal
-        misprediction and the squashed instructions being re-dispatched to
-        the wide backend (re-steer + re-rename latency).
     clock_ratio:
         Fast cycles per slow cycle, to convert the penalty.
     """
 
-    def __init__(self, flush_penalty_slow: int = 5, clock_ratio: int = 2) -> None:
-        if flush_penalty_slow < 0:
-            raise ValueError("flush penalty must be non-negative")
-        self.flush_penalty_slow = flush_penalty_slow
+    def __init__(self, clock_ratio: int = 2) -> None:
         self.clock_ratio = clock_ratio
         self.events: List[RecoveryEvent] = []
         self._blocked_until_fast_cycle = 0
 
     # ------------------------------------------------------------------ flush
     def trigger(self, trigger_uid: int, trigger_seq: int, fast_cycle: int,
-                squashed_uids: Optional[List[int]] = None,
-                penalty_slow: Optional[int] = None) -> RecoveryEvent:
+                squashed_uids: Optional[List[int]] = None, *,
+                penalty_slow: int) -> RecoveryEvent:
         """Register a fatal misprediction detected at ``fast_cycle``.
 
-        ``penalty_slow`` overrides the manager's default flush penalty for
-        this event — the simulator passes the penalty of the cluster the
-        misprediction was detected in (per-cluster ``flush_penalty_slow``).
+        ``penalty_slow`` is the number of wide-cluster cycles between
+        detecting the misprediction and the squashed instructions being
+        re-dispatched to the wide backend (re-steer + re-rename latency):
+        the ``flush_penalty_slow`` of the cluster that detected it.
         """
-        if penalty_slow is None:
-            penalty_slow = self.flush_penalty_slow
         event = RecoveryEvent(
             trigger_uid=trigger_uid,
             trigger_seq=trigger_seq,

@@ -32,9 +32,6 @@ class IssueQueueEntry:
     uid: int
     seq: int                      # program order sequence number (age)
     remaining_sources: int        # outstanding source operands
-    #: nominal execution latency in fast cycles; informational only — the
-    #: cluster's functional units own issue timing
-    fu_latency: int = 0
     is_memory: bool = False
     payload: object = None        # opaque reference back to the simulator's record
     #: dispatch-order stamp assigned by :meth:`IssueQueue.insert`; breaks seq
@@ -53,13 +50,11 @@ _age_key = attrgetter("seq", "order")
 class IssueQueue:
     """A bounded issue queue with explicit wakeup and oldest-first select."""
 
-    def __init__(self, size: int = 32, issue_width: int = 3,
-                 memory_ports: Optional[int] = None) -> None:
+    def __init__(self, size: int = 32, issue_width: int = 3) -> None:
         if size <= 0 or issue_width <= 0:
             raise ValueError("issue queue size and width must be positive")
         self.size = size
         self.issue_width = issue_width
-        self.memory_ports = memory_ports
         self._entries: Dict[int, IssueQueueEntry] = {}
         #: dispatch-order counter; stamped onto entries at insert
         self._order_counter = 0
@@ -147,8 +142,7 @@ class IssueQueue:
         budget = self.issue_width if max_issue is None else min(max_issue, self.issue_width)
         if budget <= 0:
             return []
-        mem_budget = memory_slots if memory_slots is not None else (
-            self.memory_ports if self.memory_ports is not None else budget)
+        mem_budget = memory_slots if memory_slots is not None else budget
         entries = self._entries
         if len(ready) == 1:
             uid, entry = ready.popitem()

@@ -9,7 +9,6 @@ consistently everywhere (examples, experiments, benchmarks).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional, Tuple
 
 from repro.core.config import MachineConfig, baseline_config
@@ -20,16 +19,11 @@ from repro.sim.simulator import simulate
 from repro.trace.trace import Trace
 
 
-def simulate_baseline(trace: Trace, config: Optional[MachineConfig] = None,
+def simulate_baseline(trace: Trace,
                       power: Optional[PowerConfig] = None) -> SimulationResult:
     """Run the trace on the monolithic baseline (helper cluster disabled)."""
-    config = config or baseline_config()
-    if config.helper.enabled:
-        # Equivalent of the deprecated with_helper(enabled=False) shim,
-        # spelled out so the library never warns from its own internals.
-        config = replace(config, helper=replace(config.helper, enabled=False),
-                         topology=None)
-    return simulate(trace, config=config, policy=BaselineSteering(), power=power)
+    return simulate(trace, config=baseline_config(), policy=BaselineSteering(),
+                    power=power)
 
 
 def baseline_pair(trace: Trace, policy: SteeringPolicy | str,

@@ -133,7 +133,7 @@ class TopologyPoint:
 
     @property
     def topology(self) -> Topology:
-        return self.config.cluster_topology()
+        return self.config.topology
 
     def describe(self) -> str:
         """Compact cluster summary, e.g. ``32 + 2x8b@2x``."""

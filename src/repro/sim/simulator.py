@@ -26,7 +26,7 @@ Per fast cycle the simulator performs, in order:
    (and re-dispatch of squashed ones), generation of inter-cluster copy uops,
    load replication (§3.4), copy prefetching (§3.6) and IR splitting (§3.7).
    Policies express intent (wide vs. helper, plus an optional concrete
-   target or declarative width/FP/memory requirement); the policy's shared
+   target or declarative width/FP requirement); the policy's shared
    :class:`~repro.core.selection.ClusterSelector` resolves that intent to a
    concrete cluster (the default selector is the original least-loaded
    capable resolution, bit-identically).
@@ -114,7 +114,6 @@ class _DynUop:
     predicted_narrow: Optional[bool] = None
     completed: bool = False
     squashed: bool = False
-    issued: bool = False
     in_rob: bool = False
     replicate_load: bool = False
     is_last_chunk: bool = False
@@ -134,7 +133,7 @@ class HelperClusterSimulator:
         self.config = config or helper_cluster_config()
         self.policy = policy or BaselineSteering()
         self.power_config = power or PowerConfig()
-        self.topology = self.config.cluster_topology()
+        self.topology = self.config.topology
         self.clocking = ClockingModel.from_ratios(
             [spec.clock_ratio for spec in self.topology.clusters])
 
@@ -147,16 +146,6 @@ class HelperClusterSimulator:
             for i, spec in enumerate(self.topology.clusters)]
         self.wide = self.clusters[0]
         self.helpers: List[Backend] = self.clusters[1:]
-        # Two-cluster compat view: ``sim.narrow`` has always been a Backend,
-        # even on the monolithic baseline (where it is dormant).  The dormant
-        # backend gets its own two-domain clock so none of its methods can
-        # index past the host-only clocking model.
-        if self.helpers:
-            self.narrow = self.helpers[0]
-        else:
-            from repro.core.cluster import BackendKind
-            self.narrow = Backend(BackendKind.NARROW, self.config,
-                                  ClockingModel(ratio=self.clocking.ratio))
         # Cluster-targeted steering: the policy's selector (or the default
         # least-loaded one) resolves steering decisions to concrete clusters.
         selector: Optional[ClusterSelector] = getattr(self.policy, "selector", None)
@@ -167,9 +156,7 @@ class HelperClusterSimulator:
         self.mob = MemoryOrderBuffer()
         self.memory = MemoryHierarchy(self.config.memory)
         self.rename = RenameTable()
-        self.recovery = RecoveryManager(
-            flush_penalty_slow=self.topology.flush_penalty_slow,
-            clock_ratio=self.clocking.ratio)
+        self.recovery = RecoveryManager(clock_ratio=self.clocking.ratio)
 
         # Core mechanisms.
         self.width_predictor = WidthPredictor(
@@ -178,11 +165,12 @@ class HelperClusterSimulator:
             confidence_threshold=self.config.predictor.confidence_threshold)
         self.copy_engine = CopyEngine(num_domains=len(self.clusters))
         helper_capacity = (sum(spec.queue_size for spec in self.topology.helpers)
-                           or self.config.scheduler.queue_size)
+                           or self.topology.host.queue_size)
         self.imbalance = ImbalanceMonitor(
             queue_size=helper_capacity,
             wide_queue_size=self.topology.host.queue_size)
-        self.splitter = InstructionSplitter(narrow_width=self.config.narrow_width)
+        self._narrow_width = self.config.narrow_width
+        self.splitter = InstructionSplitter(narrow_width=self._narrow_width)
         self.context = SteeringContext(
             config=self.config, width_predictor=self.width_predictor,
             rename=self.rename, imbalance=self.imbalance,
@@ -202,7 +190,6 @@ class HelperClusterSimulator:
         self._current_completing: List[_DynUop] = []
         self._copied_values: set = set()
         self._prefetched_values: set = set()
-        self._narrow_width = self.config.narrow_width
 
         # Result accumulation.  One activity record per cluster (keyed by
         # spec name in the result; indexed by cluster in the hot path) feeds
@@ -788,7 +775,6 @@ class HelperClusterSimulator:
                 continue
             if entry.is_memory and dyn.kind == "trace":
                 completion = self._memory_access(dyn, t, completion, slow_cycle)
-            dyn.issued = True
             backend.stats.issued += 1
             bucket = completions.get(completion)
             if bucket is None:
@@ -1406,7 +1392,7 @@ class HelperClusterSimulator:
         activity.ul1_accesses = self.memory.ul1.stats.accesses
         activity.memory_accesses = self.memory.stats.memory_accesses
         activity.helper_present = self._helper_enabled
-        activity.narrow_width = self.config.narrow_width
+        activity.narrow_width = self._narrow_width
         activity.predictor_accesses += (self.width_predictor.stats.updates
                                         + self.width_predictor.carry_stats.updates
                                         + self.width_predictor.copy_stats.updates)

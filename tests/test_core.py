@@ -2,18 +2,20 @@
 
 import pytest
 
-from repro.core.cluster import Backend, BackendKind
+from repro.core.cluster import Backend
 from repro.core.config import (
     TABLE_1_PARAMETERS,
-    HelperClusterConfig,
+    ClusterSpec,
     MachineConfig,
     PredictorConfig,
-    SchedulerConfig,
     baseline_config,
     helper_cluster_config,
+    helper_topology,
+    topology_config,
 )
 from repro.core.copy_engine import CopyEngine
 from repro.core.imbalance import ImbalanceMonitor, ImbalanceSample
+from repro.core.selection import ClusterRequirement
 from repro.core.splitting import InstructionSplitter
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import ArchReg
@@ -25,34 +27,43 @@ from repro.pipeline.clocking import ClockDomain
 class TestConfig:
     def test_baseline_has_no_helper(self):
         config = baseline_config()
-        assert not config.helper.enabled
+        assert config.topology.num_helpers == 0
         assert config.clock_ratio == 1
+        # Host-only machines classify values at the paper's 8-bit width.
+        assert config.narrow_width == 8
 
     def test_helper_config_defaults_match_paper(self):
         config = helper_cluster_config()
-        assert config.helper.enabled
-        assert config.helper.narrow_width == 8
-        assert config.helper.clock_ratio == 2
+        assert config == topology_config(helper_topology())
+        helper = config.topology.helpers[0]
+        assert config.topology.num_helpers == 1
+        assert helper.datapath_width == 8
+        assert helper.clock_ratio == 2
         assert config.predictor.table_entries == 256
-        assert config.scheduler.queue_size == 32
-        assert config.scheduler.issue_width == 3
+        for spec in config.topology:
+            assert spec.queue_size == 32
+            assert spec.issue_width == 3
         assert config.commit_width == 6
+
+    def test_default_machine_is_the_paper_topology(self):
+        assert MachineConfig().topology == helper_topology()
+        assert MachineConfig() == helper_cluster_config()
 
     def test_table1_text(self):
         assert "Main Memory" in TABLE_1_PARAMETERS
         assert TABLE_1_PARAMETERS["Commit Width"] == "6 instructions"
 
     def test_split_chunks(self):
-        assert HelperClusterConfig(narrow_width=8).split_chunks == 4
-        assert HelperClusterConfig(narrow_width=16).split_chunks == 2
+        assert ClusterSpec(name="n", datapath_width=8).split_chunks == 4
+        assert ClusterSpec(name="n", datapath_width=16).split_chunks == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HelperClusterConfig(narrow_width=0)
+            ClusterSpec(name="n", datapath_width=0)
         with pytest.raises(ValueError):
-            HelperClusterConfig(clock_ratio=0)
+            ClusterSpec(name="n", clock_ratio=0)
         with pytest.raises(ValueError):
-            SchedulerConfig(queue_size=0)
+            ClusterSpec(name="n", queue_size=0)
         with pytest.raises(ValueError):
             PredictorConfig(table_entries=100)
         with pytest.raises(ValueError):
@@ -60,45 +71,51 @@ class TestConfig:
 
     def test_with_helpers(self):
         config = helper_cluster_config()
-        ablation = config.with_helper(clock_ratio=1).with_predictor(table_entries=64)
-        assert ablation.helper.clock_ratio == 1
+        ablation = config.with_topology(helper_topology(clock_ratio=1)) \
+            .with_predictor(table_entries=64)
+        assert ablation.topology.helpers[0].clock_ratio == 1
+        assert ablation.clock_ratio == 1
         assert ablation.predictor.table_entries == 64
-        assert config.helper.clock_ratio == 2  # original untouched
+        assert config.clock_ratio == 2  # original untouched
 
     def test_with_scheduler(self):
         config = helper_cluster_config().with_scheduler(queue_size=16)
-        assert config.scheduler.queue_size == 16
+        assert [spec.queue_size for spec in config.topology] == [16, 16]
+
+
+def _backend(index, config=None):
+    config = config or helper_cluster_config()
+    return Backend(config.topology[index], config, index=index)
 
 
 class TestBackend:
     def test_wide_backend_properties(self):
-        backend = Backend(BackendKind.WIDE, helper_cluster_config())
+        backend = _backend(0)
         assert backend.domain is ClockDomain.WIDE
-        assert not backend.is_narrow
         assert backend.datapath_width == 32
         assert backend.units.supports(Opcode.FADD)
 
     def test_narrow_backend_properties(self):
-        backend = Backend(BackendKind.NARROW, helper_cluster_config())
-        assert backend.is_narrow
+        backend = _backend(1)
+        assert backend.domain is ClockDomain.NARROW
         assert backend.datapath_width == 8
         assert not backend.units.supports(Opcode.FADD)
         assert backend.units.supports(Opcode.ADD)
 
     def test_activity_schedule(self):
         config = helper_cluster_config()
-        wide = Backend(BackendKind.WIDE, config)
-        narrow = Backend(BackendKind.NARROW, config)
+        wide = _backend(0, config)
+        narrow = _backend(1, config)
         assert wide.active(0) and not wide.active(1)
         assert narrow.active(0) and narrow.active(1)
 
     def test_width_check(self):
-        narrow = Backend(BackendKind.NARROW, helper_cluster_config())
-        assert narrow.can_execute_width(value_is_narrow=True)
-        assert not narrow.can_execute_width(value_is_narrow=False)
+        narrow = _backend(1)
+        assert ClusterRequirement(min_width=8).satisfied_by(narrow.spec)
+        assert not ClusterRequirement(min_width=9).satisfied_by(narrow.spec)
 
     def test_reset(self):
-        backend = Backend(BackendKind.NARROW, helper_cluster_config())
+        backend = _backend(1)
         backend.stats.dispatched = 5
         backend.reset()
         assert backend.stats.dispatched == 0

@@ -12,6 +12,11 @@ perturbing each field in turn and checking the canonical text moves.
 
 Deliberate exemptions (fields that must *not* reach the key) are listed in
 ``KEY_EXEMPT`` so the contract is explicit in both directions.
+
+The converse is checked too: every leaf field of ``MachineConfig`` (each
+cluster's ``ClusterSpec`` included) must move some field of a simulation
+result, or a dead knob would split cache entries on a no-op.  The few that
+cannot are listed in ``LIVENESS_EXEMPT`` with the reason.
 """
 
 from __future__ import annotations
@@ -27,10 +32,15 @@ from repro.core.config import (
     Topology,
     helper_cluster_config,
     helper_topology,
+    mixed_helper_topology,
+    topology_config,
 )
-from repro.core.steering import PolicySpec, Scheme, policy_spec
+from repro.core.steering import PolicySpec, Scheme, make_policy, policy_spec
 from repro.power.wattch import PowerConfig
 from repro.sim.cache import canonical_text
+from repro.sim.simulator import simulate
+from repro.trace.profiles import get_profile
+from repro.trace.synthetic import generate_trace
 
 #: Fields deliberately excluded from the cache key, per owning class.
 #: ``PolicySpec.in_ladder`` is a presentation flag: it orders the ladder
@@ -55,8 +65,9 @@ def _candidates(value):
         return [not value]
     if isinstance(value, int):
         # Several options: validators constrain some fields (powers of two,
-        # 2-bit ranges, >= 1 minima); the first constructible one wins.
-        return [value * 2, value + 1, value - 1, 1]
+        # 2-bit ranges, >= 1 minima, a host at least as wide as its
+        # helpers); the first constructible one wins.
+        return [value * 2, value + 1, value - 1, 1, value // 2]
     if isinstance(value, float):
         return [value * 2 + 1.0]
     if isinstance(value, str):
@@ -72,9 +83,6 @@ def _candidates(value):
     if dataclasses.is_dataclass(value):
         mutated = _mutate_any_field(value)
         return [] if mutated is None else [mutated]
-    if value is None:
-        # Optional[Topology] on MachineConfig.
-        return [helper_topology(helpers=2)]
     return []
 
 
@@ -162,3 +170,89 @@ class TestPowerConfigReachesEngineKey:
         tweaked = SweepEngine(config=helper_cluster_config(),
                               power=PowerConfig(wide_clock_per_cycle=13.0))
         assert default.key_for(job) != tweaked.key_for(job)
+
+
+# ---------------------------------------------------------------------------
+# Knob liveness: every config field moves some result
+# ---------------------------------------------------------------------------
+_SHORT_TRACE = ("a 1500-uop trace never fills the cache: at this length, "
+                "shrinking DL0 from 32 KiB to 1 KiB changes no result field "
+                "of gcc, gzip or mcf under ir")
+
+#: Leaf fields (dotted from ``MachineConfig``; clusters by name) allowed to
+#: leave every result field unchanged, with the reason.
+LIVENESS_EXEMPT = {
+    "topology.wide.clock_ratio": "the host runs at ratio 1 (Topology validation)",
+    "topology.wide.has_fp": "the host has the FP units (Topology validation)",
+    "topology.wide.flush_penalty_slow":
+        "width recoveries only trigger in helper clusters",
+    "memory.dl0.name": "a label",
+    "memory.ul1.name": "a label",
+    "memory.ul1.ports": "only the DL0 ports limit memory issue",
+    "memory.dl0.size_bytes": _SHORT_TRACE,
+    "memory.dl0.associativity": _SHORT_TRACE,
+    "memory.ul1.size_bytes": _SHORT_TRACE,
+    "memory.ul1.associativity": _SHORT_TRACE,
+    "trace_cache.capacity_uops": _SHORT_TRACE,
+    "trace_cache.associativity": _SHORT_TRACE,
+}
+
+
+def _leaves(obj, rebuild, path=()):
+    """Yield ``(dotted path, value, setter)`` for every leaf field under
+    ``obj``; ``setter(new)`` rebuilds the root with that leaf replaced
+    (raising ``ValueError`` where a validator rejects the result)."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+
+        def set_field(new, name=field.name):
+            return rebuild(dataclasses.replace(obj, **{name: new}))
+
+        if isinstance(value, tuple) and value and dataclasses.is_dataclass(value[0]):
+            # Topology.clusters: one level per cluster, named by its spec.
+            for index, spec in enumerate(value):
+                def set_spec(new, index=index, value=value, set_field=set_field):
+                    return set_field(value[:index] + (new,) + value[index + 1:])
+                yield from _leaves(spec, set_spec, path + (spec.name,))
+        elif dataclasses.is_dataclass(value):
+            yield from _leaves(value, set_field, path + (field.name,))
+        else:
+            yield ".".join(path + (field.name,)), value, set_field
+
+
+def _perturbed(config, value, setter):
+    """``config`` with one leaf changed to its first valid candidate."""
+    for candidate in _candidates(value):
+        try:
+            mutated = setter(candidate)
+        except (ValueError, TypeError):
+            continue
+        if mutated != config:
+            return mutated
+    return None
+
+
+class TestKnobLiveness:
+    @pytest.mark.parametrize("config, policy", [
+        pytest.param(topology_config(helper_topology()), "ir", id="paper"),
+        pytest.param(topology_config(mixed_helper_topology([(8, 2), (16, 1)])),
+                     "ir_wa", id="mixed_8x2_16x1"),
+    ])
+    def test_every_config_field_moves_a_result(self, config, policy):
+        trace = generate_trace(get_profile("gcc"), 1500, seed=2006)
+
+        def run(machine):
+            return dataclasses.asdict(
+                simulate(trace, config=machine, policy=make_policy(policy)))
+
+        base = run(config)
+        dead = []
+        for path, value, setter in _leaves(config, lambda root: root):
+            if path in LIVENESS_EXEMPT:
+                continue
+            mutated = _perturbed(config, value, setter)
+            if mutated is None:
+                dead.append(f"{path} (no valid perturbation)")
+            elif run(mutated) == base:
+                dead.append(path)
+        assert not dead, f"config fields that change no result: {dead}"

@@ -4,6 +4,7 @@ execution units, frontend and recovery."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import ClusterSpec
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import ArchReg
 from repro.memory.tracecache import TraceCache, TraceCacheConfig
@@ -165,7 +166,7 @@ class TestIssueQueue:
     @staticmethod
     def entry(uid, seq, remaining=0, memory=False):
         return IssueQueueEntry(uid=uid, seq=seq, remaining_sources=remaining,
-                               fu_latency=1, is_memory=memory)
+                               is_memory=memory)
 
     def test_insert_and_capacity(self):
         queue = IssueQueue(size=2, issue_width=1)
@@ -412,27 +413,28 @@ class TestFrontend:
 
 class TestRecovery:
     def test_trigger_blocks_dispatch(self):
-        mgr = RecoveryManager(flush_penalty_slow=5, clock_ratio=2)
+        mgr = RecoveryManager(clock_ratio=2)
         event = mgr.trigger(trigger_uid=7, trigger_seq=7, fast_cycle=100,
-                            squashed_uids=[7, 8, 9])
+                            squashed_uids=[7, 8, 9], penalty_slow=5)
         assert event.refetch_ready_cycle == 110
         assert mgr.dispatch_blocked(105)
         assert not mgr.dispatch_blocked(110)
 
     def test_statistics(self):
         mgr = RecoveryManager()
-        mgr.trigger(1, 1, 0, [1])
-        mgr.trigger(2, 2, 50, [2, 3])
+        mgr.trigger(1, 1, 0, [1], penalty_slow=5)
+        mgr.trigger(2, 2, 50, [2, 3], penalty_slow=5)
         assert mgr.num_recoveries == 2
         assert mgr.total_squashed == 3
 
     def test_invalid_penalty(self):
+        # The penalty is a per-cluster parameter, validated on the spec.
         with pytest.raises(ValueError):
-            RecoveryManager(flush_penalty_slow=-1)
+            ClusterSpec(name="narrow", flush_penalty_slow=-1)
 
     def test_reset(self):
         mgr = RecoveryManager()
-        mgr.trigger(1, 1, 0)
+        mgr.trigger(1, 1, 0, penalty_slow=5)
         mgr.reset()
         assert mgr.num_recoveries == 0
         assert not mgr.dispatch_blocked(1)

@@ -11,8 +11,6 @@ Covers the PR's API-redesign surface:
   helper resolution; the width-aware selector routes by requirement width
   (9-16-bit work to a 16-bit helper, never to an 8-bit one) and degenerates
   to the default behaviour on the paper's single-helper machine.
-* **Deprecated shim** — ``with_helper()`` warns, and the derived topology is
-  identical to ``helper_topology()``.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ import pytest
 
 from repro.core.cluster import Backend
 from repro.core.config import (
-    MachineConfig,
-    HelperClusterConfig,
     helper_cluster_config,
     helper_topology,
     mixed_helper_topology,
@@ -233,7 +229,7 @@ class TestWidthAwareSelector:
             from repro.pipeline.scheduler import IssueQueueEntry
             n8.issue_queue.insert(IssueQueueEntry(
                 uid=1000 + n8.issue_queue.free_slots, seq=0,
-                remaining_sources=1, fu_latency=1))
+                remaining_sources=1))
         assert selector.select(ClusterRequirement(min_width=8)) == 2
 
     def test_unsatisfiable_requirement_returns_none(self):
@@ -304,7 +300,7 @@ class TestLeastLoadedSelector:
         assert selector.select() == 1  # tie -> lowest index
         from repro.pipeline.scheduler import IssueQueueEntry
         backends[1].issue_queue.insert(IssueQueueEntry(
-            uid=1, seq=0, remaining_sources=1, fu_latency=1))
+            uid=1, seq=0, remaining_sources=1))
         assert selector.select() == 2  # helper 2 now has more free slots
 
 
@@ -362,19 +358,3 @@ class TestWidthAwareSteering:
         first = simulate(halfword_trace, config=config, policy=make_policy("ir_wa"))
         second = simulate(halfword_trace, config=config, policy=make_policy("ir_wa"))
         assert first == second
-
-
-# ---------------------------------------------------------------------------
-# Deprecated two-cluster shim
-# ---------------------------------------------------------------------------
-class TestDeprecatedHelperShim:
-    def test_with_helper_warns_and_matches_helper_topology(self):
-        config = helper_cluster_config()
-        with pytest.warns(DeprecationWarning, match="with_helper"):
-            shimmed = config.with_helper(narrow_width=16, clock_ratio=4)
-        assert shimmed.cluster_topology() == helper_topology(narrow_width=16,
-                                                             clock_ratio=4)
-
-    def test_helper_cluster_config_shim_derives_paper_topology(self):
-        config = MachineConfig(helper=HelperClusterConfig(enabled=True))
-        assert config.cluster_topology() == helper_topology()

@@ -46,8 +46,8 @@ class TestPowerModel:
         assert breakdown.per_structure["narrow_clock"] == 0.0
 
     def test_helper_adds_clock_energy(self):
-        with_helper = PowerModel().evaluate(activity())
-        assert with_helper.per_structure["narrow_clock"] > 0
+        breakdown = PowerModel().evaluate(activity())
+        assert breakdown.per_structure["narrow_clock"] > 0
 
     def test_fraction(self):
         breakdown = PowerModel().evaluate(activity())

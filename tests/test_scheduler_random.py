@@ -35,7 +35,6 @@ class TestIssueQueueRandomized:
             uid=uid,
             seq=random.randint(0, 40),       # deliberate seq ties
             remaining_sources=random.randint(0, 3),
-            fu_latency=random.randint(1, 4),
             is_memory=random.random() < 0.3,
         )
 
@@ -125,7 +124,7 @@ class TestSimulatorRandomizedInvariants:
 
             sim.rob.commit = commit_spy
 
-            for queue in (sim.narrow.issue_queue, sim.wide.issue_queue):
+            for queue in (sim.helpers[0].issue_queue, sim.wide.issue_queue):
                 original_select = queue.select
 
                 def select_spy(*args, _orig=original_select, **kwargs):
@@ -147,14 +146,14 @@ class TestSimulatorRandomizedInvariants:
         for trial in range(N_SIM_TRIALS):
             sim = self._build_sim(trial)
             result = sim.run()
-            narrow, wide = sim.narrow.stats, sim.wide.stats
+            narrow, wide = sim.helpers[0].stats, sim.wide.stats
             copies = narrow.copies_executed + wide.copies_executed
             saw_copies = saw_copies or copies > 0
             # Issue-slot accounting covers copies: total issues include them
             # and never exceed each cluster's issue opportunities.
             assert narrow.issued >= narrow.copies_executed
             assert wide.issued >= wide.copies_executed
-            width = sim.config.scheduler.issue_width
+            width = sim.topology.host.issue_width
             assert narrow.issued <= (result.fast_cycles + 1) * width
             wide_cycles = result.fast_cycles // sim.clocking.ratio + 1
             assert wide.issued <= wide_cycles * width

@@ -151,7 +151,7 @@ class TestHelperRun:
         assert result.committed_uops == len(tiny_trace)
         assert sim.rob.is_empty()
         assert len(sim.wide.issue_queue) == 0
-        assert len(sim.narrow.issue_queue) == 0
+        assert len(sim.helpers[0].issue_queue) == 0
 
 
 class TestSpeedupRelations:

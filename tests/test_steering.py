@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import helper_cluster_config
+from repro.core.config import baseline_config, helper_cluster_config
 from repro.core.copy_engine import CopyEngine
 from repro.core.imbalance import ImbalanceMonitor, ImbalanceSample
 from repro.core.predictors import WidthPredictor
@@ -30,7 +30,7 @@ def ctx():
         config=config,
         width_predictor=WidthPredictor(),
         rename=RenameTable(),
-        imbalance=ImbalanceMonitor(queue_size=config.scheduler.queue_size),
+        imbalance=ImbalanceMonitor(queue_size=config.topology.helpers[0].queue_size),
         copy_engine=CopyEngine(),
         splitter=InstructionSplitter(),
     )
@@ -156,7 +156,7 @@ class TestN888(object):
         assert not decision.to_helper
 
     def test_helper_disabled_goes_wide(self, ctx):
-        ctx.config = helper_cluster_config().with_helper(enabled=False)
+        ctx.config = baseline_config()
         policy = make_policy("n888")
         uop = alu_uop()
         train_narrow(ctx.width_predictor, uop.pc)

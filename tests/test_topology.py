@@ -22,7 +22,6 @@ import pytest
 from repro.core.config import (
     ClusterSpec,
     MachineConfig,
-    SchedulerConfig,
     Topology,
     baseline_config,
     helper_cluster_config,
@@ -90,35 +89,27 @@ class TestTopologyConstruction:
     def test_with_scheduler_reaches_explicit_topology(self):
         config = topology_config(helper_topology()).with_scheduler(
             queue_size=16, issue_width=2)
-        for spec in config.cluster_topology().clusters:
+        for spec in config.topology.clusters:
             assert spec.queue_size == 16
             assert spec.issue_width == 2
 
     def test_per_cluster_flush_penalty_reaches_recovery(self):
         from repro.pipeline.recovery import RecoveryManager
 
-        manager = RecoveryManager(flush_penalty_slow=5, clock_ratio=2)
-        default = manager.trigger(1, 1, fast_cycle=100)
-        assert default.refetch_ready_cycle == 110
-        override = manager.trigger(2, 2, fast_cycle=100, penalty_slow=20)
-        assert override.refetch_ready_cycle == 140
+        manager = RecoveryManager(clock_ratio=2)
+        paper = manager.trigger(1, 1, fast_cycle=100, penalty_slow=5)
+        assert paper.refetch_ready_cycle == 110
+        slow = manager.trigger(2, 2, fast_cycle=100, penalty_slow=20)
+        assert slow.refetch_ready_cycle == 140
 
     def test_derived_topology_matches_shim(self):
         config = helper_cluster_config(narrow_width=16, clock_ratio=4)
-        topology = config.cluster_topology()
+        topology = config.topology
         assert topology.num_helpers == 1
         assert topology.helpers[0].datapath_width == 16
         assert topology.helpers[0].clock_ratio == 4
         assert config.narrow_width == 16
         assert config.clock_ratio == 4
-
-    def test_with_helper_rederives_topology(self):
-        config = topology_config(helper_topology(helpers=2))
-        assert config.cluster_topology().num_helpers == 2
-        with pytest.warns(DeprecationWarning):
-            shimmed = config.with_helper(narrow_width=16)
-        assert shimmed.cluster_topology().num_helpers == 1
-        assert shimmed.narrow_width == 16
 
     def test_mixed_helper_topology_shapes_and_names(self):
         from repro.core.config import mixed_helper_topology
@@ -166,17 +157,6 @@ class TestMultiDomainClocking:
 # Degeneracy: topologies reproduce the original machines bit-identically
 # ---------------------------------------------------------------------------
 class TestTopologyDegeneracy:
-    def test_baseline_simulator_keeps_dormant_narrow_backend(self, tiny_trace):
-        # Two-cluster compat: ``sim.narrow`` is a Backend even on the
-        # monolithic baseline (dormant, excluded from the cluster list).
-        from repro.sim.simulator import HelperClusterSimulator
-
-        sim = HelperClusterSimulator(tiny_trace, config=baseline_config())
-        assert len(sim.clusters) == 1
-        assert sim.narrow is not None
-        assert sim.narrow.is_narrow
-        assert len(sim.narrow.issue_queue) == 0
-
     def test_single_cluster_equals_monolithic_baseline(self, tiny_trace):
         mono = simulate(tiny_trace, config=baseline_config(),
                         policy=make_policy("baseline"))
@@ -186,11 +166,11 @@ class TestTopologyDegeneracy:
 
     def test_two_cluster_topology_equals_shim_config(self, tiny_trace):
         for policy in ("n888", "ir"):
-            shim = simulate(tiny_trace, config=helper_cluster_config(),
-                            policy=make_policy(policy))
+            canned = simulate(tiny_trace, config=helper_cluster_config(),
+                              policy=make_policy(policy))
             topo = simulate(tiny_trace, config=topology_config(helper_topology()),
                             policy=make_policy(policy))
-            assert topo == shim, f"topology run drifted for {policy}"
+            assert topo == canned, f"topology run drifted for {policy}"
 
     def test_two_cluster_topology_reproduces_golden_pins(self):
         """The canned topology must hit the golden ladder pins exactly."""
@@ -301,15 +281,16 @@ class TestCanonicalCacheKey:
             "rob_size": replace(base, rob_size=64),
             "scheduler.queue_size": base.with_scheduler(queue_size=16),
             "scheduler.issue_width": base.with_scheduler(issue_width=4),
-            "scheduler.memory_ports": base.with_scheduler(memory_ports=1),
             "predictor.table_entries": base.with_predictor(table_entries=512),
             "predictor.use_confidence": base.with_predictor(use_confidence=False),
             "predictor.confidence_threshold":
                 base.with_predictor(confidence_threshold=3),
-            "helper.narrow_width": base.with_helper(narrow_width=16),
-            "helper.clock_ratio": base.with_helper(clock_ratio=1),
-            "helper.copy_latency_slow": base.with_helper(copy_latency_slow=3),
-            "helper.flush_penalty_slow": base.with_helper(flush_penalty_slow=7),
+            "helper.narrow_width": base.with_topology(
+                helper_topology(narrow_width=16)),
+            "helper.clock_ratio": base.with_topology(
+                helper_topology(clock_ratio=1)),
+            "helper.flush_penalty_slow": base.with_topology(
+                helper_topology(flush_penalty_slow=7)),
             "memory.main_memory_latency": replace(
                 base, memory=replace(base.memory, main_memory_latency=300)),
             "memory.dl0.hit_latency": replace(
@@ -333,12 +314,12 @@ class TestCanonicalCacheKey:
         assert self._key(helper_cluster_config()) == \
             self._key(helper_cluster_config())
 
-    def test_explicit_paper_topology_and_shim_key_apart(self):
-        # Equivalent machines, but distinct descriptions: the key must not
-        # conflate them (conservative misses are fine; stale hits are not).
-        shim = self._key(helper_cluster_config())
+    def test_paper_topology_and_canned_config_share_a_key(self):
+        # One machine, one description: the canned constructor is the
+        # paper topology, so both spellings share cache entries.
+        canned = self._key(helper_cluster_config())
         explicit = self._key(topology_config(helper_topology()))
-        assert shim != explicit
+        assert canned == explicit
 
     def test_job_carried_config_overrides_engine_config(self):
         engine = SweepEngine(config=helper_cluster_config())
