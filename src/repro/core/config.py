@@ -226,14 +226,15 @@ class MachineConfig:
         """Return a copy with predictor fields overridden."""
         return replace(self, predictor=replace(self.predictor, **overrides))
 
-    def with_scheduler(self, **overrides) -> "MachineConfig":
-        """Return a copy with the scheduler fields (``queue_size``,
-        ``issue_width``) of every cluster overridden.
-
-        Use :meth:`with_topology` for per-cluster tuning.
-        """
+    def with_scheduler(self, *, queue_size: Optional[int] = None,
+                       issue_width: Optional[int] = None) -> "MachineConfig":
+        """Return a copy with every cluster's queue size and/or issue width
+        overridden (:meth:`with_topology` tunes clusters one by one)."""
         return self.with_topology(Topology(tuple(
-            replace(spec, **overrides) for spec in self.topology.clusters)))
+            replace(spec,
+                    queue_size=spec.queue_size if queue_size is None else queue_size,
+                    issue_width=spec.issue_width if issue_width is None else issue_width)
+            for spec in self.topology.clusters)))
 
     # -------------------------------------------------------------- caching
     def to_key_dict(self) -> dict:
@@ -258,10 +259,9 @@ class MachineConfig:
 
 
 # ---------------------------------------------------------------- topologies
-def _host_spec(flush_penalty_slow: int = 5) -> ClusterSpec:
+def _host_spec() -> ClusterSpec:
     """The paper's wide 32-bit host cluster with the FP units."""
-    return ClusterSpec(name="wide", has_fp=True,
-                       flush_penalty_slow=flush_penalty_slow)
+    return ClusterSpec(name="wide", has_fp=True)
 
 
 def monolithic_topology() -> Topology:
@@ -287,7 +287,7 @@ def helper_topology(narrow_width: int = NARROW_WIDTH, clock_ratio: int = 2,
         name=name, datapath_width=narrow_width, clock_ratio=clock_ratio,
         has_fp=has_fp, flush_penalty_slow=flush_penalty_slow)
         for name in names]
-    return Topology(tuple([_host_spec(flush_penalty_slow)] + specs))
+    return Topology(tuple([_host_spec()] + specs))
 
 
 def mixed_helper_topology(helper_shapes: Sequence[Tuple[int, int]],
@@ -302,7 +302,7 @@ def mixed_helper_topology(helper_shapes: Sequence[Tuple[int, int]],
     """
     if not helper_shapes:
         raise ValueError("at least one helper shape is required")
-    specs = [_host_spec(flush_penalty_slow)]
+    specs = [_host_spec()]
     seen: Dict[str, int] = {}
     for width, ratio in helper_shapes:
         name = f"n{width}x{ratio}"
@@ -331,11 +331,12 @@ def random_topology(rng, max_helpers: int = 3) -> Topology:
     """Draw a random-but-valid :class:`Topology` from ``rng``.
 
     The host is always the paper's wide 32-bit cluster at clock ratio 1
-    with FP units (a :class:`Topology` invariant); everything else is
-    drawn from the pools above: helper count 0..``max_helpers``, datapath
-    widths (including full-width and the awkward non-power-of-two 24-bit
-    case), clock ratios, per-cluster scheduler resources, FU mix
-    (``has_fp`` helpers included) and flush penalties.  Constraints
+    with FP units (a :class:`Topology` invariant) and the default flush
+    penalty (width recoveries only trigger in helpers, so the host's is
+    never read); everything else is drawn from the pools above: helper
+    count 0..``max_helpers``, datapath widths (full width included), clock
+    ratios, per-cluster scheduler resources, helper FU mix (``has_fp``
+    helpers included) and helper flush penalties.  Constraints
     the dataclass validators enforce — helper width <= host width, unique
     names, positive resources — hold by construction, so every returned
     topology is simulatable.
@@ -352,9 +353,7 @@ def random_topology(rng, max_helpers: int = 3) -> Topology:
 
     host = ClusterSpec(
         name="wide", datapath_width=MACHINE_WIDTH, clock_ratio=1,
-        has_fp=True,
-        flush_penalty_slow=rng.randint(0, 8),
-        **scheduler_draw())
+        has_fp=True, **scheduler_draw())
     specs = [host]
     for index in range(rng.randint(0, max_helpers)):
         width = rng.choice(RANDOM_HELPER_WIDTHS)

@@ -81,6 +81,11 @@ class TestConfig:
     def test_with_scheduler(self):
         config = helper_cluster_config().with_scheduler(queue_size=16)
         assert [spec.queue_size for spec in config.topology] == [16, 16]
+        assert [spec.issue_width for spec in config.topology] == [3, 3]
+        # Only the scheduler fields: other cluster fields go through
+        # with_topology.
+        with pytest.raises(TypeError):
+            helper_cluster_config().with_scheduler(datapath_width=16)
 
 
 def _backend(index, config=None):

@@ -78,6 +78,16 @@ def test_random_topology_and_policy_are_deterministic():
         assert pa.to_key_dict() == pb.to_key_dict()
 
 
+def test_random_topology_spends_no_draw_on_the_host_flush_penalty():
+    import random
+
+    # Width recoveries only trigger in helpers, so the host's penalty is
+    # never read and the generator leaves it at the default.
+    default = ClusterSpec(name="wide", has_fp=True).flush_penalty_slow
+    for seed in range(20):
+        assert random_topology(random.Random(seed)).host.flush_penalty_slow == default
+
+
 # ---------------------------------------------------------------------------
 # campaigns + corpus replay
 # ---------------------------------------------------------------------------
