@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from typing import List, Optional, Sequence
 
 from repro.analysis.carry import analyze_carry
@@ -175,11 +174,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--policy", default="ir", choices=all_policies)
     run.add_argument("--uops", type=int, default=20_000)
     run.add_argument("--seed", type=int, default=2006)
-    run.add_argument("--profile", default=None, choices=["cprofile", "timers"],
+    run.add_argument("--profile", default=None, choices=["cprofile"],
                      help="profile the pair of runs: 'cprofile' dumps the "
-                          "top functions by cumulative time, 'timers' stamps "
-                          "per-phase (dispatch/issue/writeback/commit) "
-                          "wall-clock counters into the footer")
+                          "top functions by cumulative time")
 
     ladder = sub.add_parser("ladder", help="run the cumulative policy ladder")
     ladder.add_argument("--benchmarks", nargs="*", default=None, choices=SPEC_INT_NAMES)
@@ -314,71 +311,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PROFILE_PHASES = ("dispatch", "issue", "writeback", "commit")
-
-
-@contextmanager
-def _phase_timers():
-    """Accumulate wall-clock per pipeline phase for ``run --profile timers``.
-
-    Wraps the simulator's phase methods at class level for the duration of
-    the context, so the counters cover every simulator constructed inside it
-    (the monolithic baseline included) and the hot loop carries zero
-    instrumentation cost when not profiling.
-    """
-    from time import perf_counter
-
-    from repro.sim.simulator import HelperClusterSimulator
-
-    counters = {name: [0.0, 0] for name in _PROFILE_PHASES}
-    saved = {}
-
-    def wrap(name, fn):
-        cell = counters[name]
-
-        def timed(*call_args):
-            t0 = perf_counter()
-            try:
-                return fn(*call_args)
-            finally:
-                cell[0] += perf_counter() - t0
-                cell[1] += 1
-
-        return timed
-
-    try:
-        for name in _PROFILE_PHASES:
-            # The event wheel drives issue per backend, not through the
-            # reference loop's _issue wrapper, so time the per-backend hook.
-            attr = "_issue_backend" if name == "issue" else f"_{name}"
-            saved[attr] = getattr(HelperClusterSimulator, attr)
-            setattr(HelperClusterSimulator, attr, wrap(name, saved[attr]))
-        yield counters
-    finally:
-        for attr, fn in saved.items():
-            setattr(HelperClusterSimulator, attr, fn)
-
-
-def _print_phase_footer(counters) -> None:
-    total = sum(cell[0] for cell in counters.values())
-    rows = [[name, cell[0] * 1e3, cell[1],
-             (cell[0] / total * 100.0) if total else 0.0]
-            for name, cell in counters.items()]
-    print()
-    print(format_table(["phase", "wall (ms)", "calls", "% of timed"], rows,
-                       title="Per-phase wall clock (baseline + helper runs)",
-                       float_format="{:.2f}"))
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     profile = get_profile(args.benchmark)
     trace = generate_trace(profile, args.uops, seed=args.seed)
-    phase_counters = profiler = None
-    if args.profile == "timers":
-        with _phase_timers() as phase_counters:
-            base, helper, gain = baseline_pair(
-                trace, args.policy, helper_config=helper_cluster_config())
-    elif args.profile == "cprofile":
+    profiler = None
+    if args.profile == "cprofile":
         import cProfile
 
         profiler = cProfile.Profile()
@@ -403,8 +340,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(format_table(["metric", "value"], rows,
                        title=f"{args.benchmark} / {args.policy} ({args.uops} uops)",
                        float_format="{:.2f}"))
-    if phase_counters is not None:
-        _print_phase_footer(phase_counters)
     if profiler is not None:
         import io
         import pstats

@@ -53,7 +53,6 @@ class CopyStats:
     prefetched_copies: int = 0
     useful_prefetches: int = 0
     replicated_loads: int = 0
-    copies_avoided_by_replication: int = 0
 
     @property
     def prefetch_accuracy(self) -> float:
@@ -179,10 +178,6 @@ class CopyEngine:
     def note_prefetch_useful(self) -> None:
         """A consumer actually used a prefetched copy (CP accuracy accounting)."""
         self.stats.useful_prefetches += 1
-
-    def note_copy_avoided(self) -> None:
-        """A copy that would have been generated was avoided by replication."""
-        self.stats.copies_avoided_by_replication += 1
 
     # ----------------------------------------------------------------- cleanup
     def retire_value(self, value_uid: int) -> None:

@@ -133,13 +133,6 @@ class WidthPredictor:
         self.carry_stats = PredictorStats()
         self.copy_stats = PredictorStats()
 
-    # ------------------------------------------------------------------ index
-    def _index(self, pc: int) -> int:
-        return (pc >> 2) & self._mask
-
-    def entry_for(self, pc: int) -> _Entry:
-        return self._table[(pc >> 2) & self._mask]
-
     # ---------------------------------------------------------------- predict
     def predict(self, pc: int) -> WidthPrediction:
         """Predict the result width of the instruction at ``pc``.

@@ -306,10 +306,6 @@ class DataWidthSteering(SteeringPolicy):
         self._imbalance = ctx.imbalance
 
     # ------------------------------------------------------------------ helpers
-    def _source_widths(self, uop: MicroOp, ctx: SteeringContext) -> List[bool]:
-        """Width-table view of each source: actual width if written back, else prediction."""
-        return ctx.rename.source_widths(uop.srcs)
-
     def _immediate_narrow(self, uop: MicroOp, ctx: SteeringContext) -> bool:
         if uop.imm is None:
             return True
@@ -347,19 +343,6 @@ class DataWidthSteering(SteeringPolicy):
                 and prediction.width_bits > bits):
             bits = prediction.width_bits
         return ClusterRequirement(min_width=bits)
-
-    def _helper_supports(self, uop: MicroOp, ctx: SteeringContext) -> bool:
-        """Whether some helper backend can execute the uop.
-
-        The paper's helper has integer ALUs/AGUs only (§2.1); FP work becomes
-        steerable only when the topology declares an FP-capable helper.
-        Long-latency MUL/DIV stay in the wide backend regardless.
-        """
-        if uop.op_class in (OpClass.MUL, OpClass.DIV):
-            return False
-        if uop.op_class is OpClass.FP:
-            return ctx.helper_fp_available
-        return True
 
     # -------------------------------------------------------------------- steer
     def steer(self, fetched: FetchedUop, ctx: SteeringContext) -> SteerDecision:

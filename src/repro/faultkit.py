@@ -16,9 +16,10 @@ SHA-256 and compares the resulting uniform value against the plan's rate
 for that kind — no RNG state, no ordering sensitivity: two processes (or a
 worker and its replacement after a respawn) agree on every decision.  A
 *token* identifies the victim: for job faults it is
-``"<benchmark>:<policy>:<key12>"`` (the 12-hex-digit result-key prefix
-distinguishes topology-grid points that share a benchmark and policy); for
-artifact faults it is the cache/store key itself.
+``"<benchmark>:<policy>:<digest12>"`` (``SweepEngine.token_for``: a digest
+of the job's own fields, which distinguishes topology-grid points that
+share a benchmark and policy); for artifact faults it is the cache/store
+key itself.
 
 At most one fault fires per (token, attempt): the kinds partition a single
 uniform draw by cumulative rate, so raising one rate never flips an
@@ -75,7 +76,7 @@ import hashlib
 import os
 import signal
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 #: Environment variable holding the fault-plan spec.
@@ -214,9 +215,6 @@ class FaultPlan:
         if kind not in ARTIFACT_FAULT_KINDS:
             raise ValueError(f"unknown artifact fault kind {kind!r}")
         return _unit(self.seed, kind, key) < getattr(self, kind)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        return replace(self, seed=seed)
 
     def any_job_faults(self) -> bool:
         return (bool(self.sticky)

@@ -41,7 +41,7 @@ from repro.fuzz.generate import (
     generate_case,
 )
 from repro.fuzz.invariants import CommitOrderRecorder, check_result_invariants
-from repro.sim.cache import ResultCache, canonical_text, result_key
+from repro.sim.cache import ResultCache, simulation_key
 from repro.sim.metrics import SimulationResult
 from repro.sim.simulator import HelperClusterSimulator
 from repro.trace.profiles import SPEC_INT_NAMES, get_profile
@@ -115,10 +115,8 @@ def _describe_divergence(wheel: SimulationResult,
 def _check_stores(case: FuzzCase, trace: Trace, config,
                   result: SimulationResult, failures: List[str]) -> None:
     """Round-trip the run through ResultCache/TraceStore in a temp dir."""
-    config_text = canonical_text(config.to_key_dict())
-    policy_text = canonical_text(case.policy.to_key_dict())
-    rkey = result_key(case.profile, case.trace_uops, case.trace_seed,
-                      case.use_slicing, config_text, policy_text)
+    rkey = simulation_key(case.profile, case.trace_uops, case.trace_seed,
+                          case.use_slicing, config, case.policy)
     tkey = trace_key(case.profile, case.trace_uops, case.trace_seed,
                      case.use_slicing)
 
@@ -126,11 +124,9 @@ def _check_stores(case: FuzzCase, trace: Trace, config,
     # the exact same cache slots, or corpus replays and resumed sweeps
     # would silently recompute (or worse, alias) entries.
     rebuilt = case_from_dict(json.loads(case_text(case)))
-    rebuilt_config = rebuilt.machine_config()
-    rebuilt_rkey = result_key(rebuilt.profile, rebuilt.trace_uops,
-                              rebuilt.trace_seed, rebuilt.use_slicing,
-                              canonical_text(rebuilt_config.to_key_dict()),
-                              canonical_text(rebuilt.policy.to_key_dict()))
+    rebuilt_rkey = simulation_key(rebuilt.profile, rebuilt.trace_uops,
+                                  rebuilt.trace_seed, rebuilt.use_slicing,
+                                  rebuilt.machine_config(), rebuilt.policy)
     if rebuilt_rkey != rkey:
         failures.append("result cache key unstable across a JSON round-trip "
                         f"of the case: {rkey[:12]}... != {rebuilt_rkey[:12]}...")

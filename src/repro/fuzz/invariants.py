@@ -61,8 +61,7 @@ class CommitOrderRecorder:
 
 
 def check_result_invariants(result: SimulationResult, config: MachineConfig,
-                            trace_uops: int,
-                            power_enabled: bool = True) -> List[str]:
+                            trace_uops: int) -> List[str]:
     """Return every invariant the finished result violates (empty = clean)."""
     topology: Topology = config.topology
     violations: List[str] = []
@@ -140,27 +139,22 @@ def check_result_invariants(result: SimulationResult, config: MachineConfig,
                     f"{result.fast_cycles} fast cycles implies {expected}")
 
     # ----------------------------------------------------------- energy
-    if power_enabled:
-        if set(result.power) != expected_names:
-            bad(f"power breakdowns keyed by {sorted(result.power)} instead "
-                f"of the topology's {sorted(expected_names)}")
-        for name, breakdown in result.power.items():
-            for structure, energy in breakdown.per_structure.items():
-                if energy < 0:
-                    bad(f"cluster {name!r} has negative energy "
-                        f"{energy} for structure {structure!r}")
-        if result.shared_power is not None:
-            for structure, energy in result.shared_power.per_structure.items():
-                if energy < 0:
-                    bad(f"shared structure {structure!r} has negative "
-                        f"energy {energy}")
-        else:
-            bad("energy accounting enabled but shared_power is missing")
-        if result.energy < 0:
-            bad(f"total energy is negative: {result.energy}")
+    if set(result.power) != expected_names:
+        bad(f"power breakdowns keyed by {sorted(result.power)} instead "
+            f"of the topology's {sorted(expected_names)}")
+    for name, breakdown in result.power.items():
+        for structure, energy in breakdown.per_structure.items():
+            if energy < 0:
+                bad(f"cluster {name!r} has negative energy "
+                    f"{energy} for structure {structure!r}")
+    if result.shared_power is not None:
+        for structure, energy in result.shared_power.per_structure.items():
+            if energy < 0:
+                bad(f"shared structure {structure!r} has negative "
+                    f"energy {energy}")
     else:
-        if result.power or result.shared_power is not None:
-            bad("energy accounting disabled but the result carries "
-                "power breakdowns")
+        bad("shared_power is missing")
+    if result.energy < 0:
+        bad(f"total energy is negative: {result.energy}")
 
     return violations

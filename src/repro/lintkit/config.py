@@ -83,7 +83,6 @@ def default_config(root: Optional[Path] = None) -> LintConfig:
             ("src/repro/core/config.py", "ClusterSpec"),
             ("src/repro/core/config.py", "Topology"),
             ("src/repro/core/steering.py", "PolicySpec"),
-            ("src/repro/power/wattch.py", "PowerConfig"),
             ("src/repro/trace/profiles.py", "BenchmarkProfile"),
             ("src/repro/trace/profiles.py", "InstructionMix"),
         ],

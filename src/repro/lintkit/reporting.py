@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import List
 
-from repro.lintkit.engine import Finding, LintReport
+from repro.lintkit.engine import LintReport
 
 REPORT_FORMAT = 1
 
@@ -56,8 +56,3 @@ def report_to_dict(report: LintReport) -> dict:
 
 def render_json(report: LintReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=False)
-
-
-def finding_lines(findings: List[Finding]) -> List[str]:
-    """Bare ``path:line:col: RULE: message`` lines (test helper)."""
-    return [f"{f.location()}: {f.rule}: {f.message}" for f in findings]

@@ -123,10 +123,6 @@ class Frontend:
         bucket = (uop.pc >> 2) % 1000 / 1000.0
         return bucket < self.frontend_branch_resolution_fraction
 
-    def next_seq(self) -> int:
-        """Sequence number that will be assigned to the next fetched uop."""
-        return self._seq
-
     def reset(self) -> None:
         self._cursor = 0
         self._seq = 0

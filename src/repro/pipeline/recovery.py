@@ -75,9 +75,6 @@ class RecoveryManager:
         """True while dispatch must wait for an ongoing recovery to finish."""
         return fast_cycle < self._blocked_until_fast_cycle
 
-    def blocked_until(self) -> int:
-        return self._blocked_until_fast_cycle
-
     @property
     def num_recoveries(self) -> int:
         return len(self.events)

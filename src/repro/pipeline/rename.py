@@ -132,11 +132,6 @@ class RenameTable:
         """Width-table view of a source: actual width if known, else last prediction."""
         return self._entries[reg].narrow
 
-    def source_widths(self, regs) -> list:
-        """Bulk :meth:`source_is_narrow` over a register sequence."""
-        entries = self._entries
-        return [entries[reg].narrow for reg in regs]
-
     def source_width_bits(self, reg: ArchReg) -> int:
         """Expected width of a source value in bits (width-aware steering)."""
         return self._entries[reg].width_bits

@@ -85,10 +85,6 @@ class ReorderBuffer:
             entry.squashed = True
             entry.completed = True
 
-    def is_completed(self, uid: int) -> bool:
-        entry = self._by_uid.get(uid)
-        return entry is not None and entry.completed
-
     # ------------------------------------------------------------------ commit
     def commit(self) -> List[ROBEntry]:
         """Retire up to ``commit_width`` completed entries from the head."""

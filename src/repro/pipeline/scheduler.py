@@ -213,8 +213,3 @@ class IssueQueue:
     def ready_count(self) -> int:
         """Number of currently ready (issuable) entries."""
         return len(self._ready)
-
-    def reset_stats(self) -> None:
-        self.total_occupancy_samples = 0
-        self.occupancy_accum = 0
-        self.ready_not_issued_accum = 0

@@ -79,7 +79,7 @@ def report_from_result(result: "SimulationResult",
     if not result.power:
         raise ValueError(
             f"result {result.benchmark}/{result.policy} carries no energy "
-            "figures (simulated with PowerConfig(enabled=False)?)")
+            "figures (a hand-built result?)")
     return EnergyReport(label=label or f"{result.benchmark}/{result.policy}",
                         energy=result.energy, delay_cycles=result.slow_cycles)
 

@@ -31,7 +31,7 @@ constants there — which is what anchors the energy golden pins
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping, Tuple
 
 from repro.isa.values import MACHINE_WIDTH, NARROW_WIDTH
@@ -47,15 +47,12 @@ class PowerConfig:
     The per-access constants describe the *full-width* (host) structures;
     per-cluster coefficients are derived from them and the cluster's
     :class:`~repro.core.config.ClusterSpec` (see
-    :meth:`PowerModel.coefficients_for`).  ``PowerConfig`` feeds the result
-    cache key through :meth:`to_key_dict`, so changing any coefficient can
-    never alias a stale cached energy figure.
+    :meth:`PowerModel.coefficients_for`).  The simulator always evaluates
+    the default coefficients; this module is fingerprinted by lint rule
+    REP005, so editing a coefficient needs a ``SIMULATOR_VERSION`` bump,
+    which retires every cached energy figure.
     """
 
-    #: master switch: when False the simulator skips power evaluation and
-    #: results carry no energy figures (``repro.cli --no-energy`` style runs,
-    #: the overhead benchmark's control arm)
-    enabled: bool = True
     #: energy of one ALU operation on the full-width datapath
     alu_access: float = 10.0
     #: energy of one AGU / memory-pipe operation (address add + TLB-ish)
@@ -100,14 +97,6 @@ class PowerConfig:
     def width_scale(self, narrow_width: int = NARROW_WIDTH) -> float:
         """Linear width-scaling factor for narrow-datapath structures."""
         return narrow_width / MACHINE_WIDTH
-
-    def to_key_dict(self) -> dict:
-        """Canonical, JSON-serialisable form (the cache-key contract).
-
-        Every coefficient is part of the result-cache key: a tweaked power
-        model can never be served energy figures computed under the old one.
-        """
-        return asdict(self)
 
 
 @dataclass

@@ -13,23 +13,19 @@ from typing import Optional, Tuple
 
 from repro.core.config import MachineConfig, baseline_config
 from repro.core.steering import BaselineSteering, SteeringPolicy, make_policy
-from repro.power.wattch import PowerConfig
 from repro.sim.metrics import SimulationResult, speedup
 from repro.sim.simulator import simulate
 from repro.trace.trace import Trace
 
 
-def simulate_baseline(trace: Trace,
-                      power: Optional[PowerConfig] = None) -> SimulationResult:
+def simulate_baseline(trace: Trace) -> SimulationResult:
     """Run the trace on the monolithic baseline (helper cluster disabled)."""
-    return simulate(trace, config=baseline_config(), policy=BaselineSteering(),
-                    power=power)
+    return simulate(trace, config=baseline_config(), policy=BaselineSteering())
 
 
 def baseline_pair(trace: Trace, policy: SteeringPolicy | str,
                   helper_config: Optional[MachineConfig] = None,
                   baseline: Optional[SimulationResult] = None,
-                  power: Optional[PowerConfig] = None,
                   ) -> Tuple[SimulationResult, SimulationResult, float]:
     """Run (baseline, helper-cluster) over one trace and return the speedup.
 
@@ -45,9 +41,6 @@ def baseline_pair(trace: Trace, policy: SteeringPolicy | str,
     baseline:
         A previously computed baseline result for this trace, to avoid
         re-simulating it when sweeping many policies.
-    power:
-        Energy coefficients applied to *both* runs, so energy/ED²
-        comparisons between the pair are always under one model.
 
     Returns
     -------
@@ -59,7 +52,6 @@ def baseline_pair(trace: Trace, policy: SteeringPolicy | str,
 
     helper_config = helper_config or helper_cluster_config()
     if baseline is None:
-        baseline = simulate_baseline(trace, power=power)
-    helper_result = simulate(trace, config=helper_config, policy=policy,
-                             power=power)
+        baseline = simulate_baseline(trace)
+    helper_result = simulate(trace, config=helper_config, policy=policy)
     return baseline, helper_result, speedup(baseline, helper_result)

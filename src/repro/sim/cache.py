@@ -8,11 +8,12 @@ that determines it — trace profile, trace length, seed, machine config
 (through ``MachineConfig.to_key_dict()``), the policy (through
 ``PolicySpec.to_key_dict()``: name, scheme set, cluster selector and
 selector knobs, so policies differing only in selector or knobs never alias
-an entry), the energy coefficients (through ``PowerConfig.to_key_dict()``:
-results carry their per-cluster energy figures, so a tweaked power model
-must miss) and a code-version tag — so repeated sweeps are near-free while
+an entry) and a code-version tag — so repeated sweeps are near-free while
 any change to the inputs (or to simulator semantics, via the version tag)
-misses cleanly.
+misses cleanly.  :func:`simulation_key` is that recipe, shared by the sweep
+engine and the fuzz harness.  The energy coefficients are not a key input:
+results carry their energy figures, so editing a coefficient is a semantic
+change that bumps the version tag.
 
 Entry format (one file per result, sharded by key prefix)::
 
@@ -56,6 +57,20 @@ def result_key(*parts: object) -> str:
         hasher.update(b"\x00")
         hasher.update(repr(part).encode("utf-8"))
     return hasher.hexdigest()
+
+
+def simulation_key(profile, trace_uops: int, seed: int, use_slicing: bool,
+                   config, policy) -> str:
+    """Result-cache key of one simulation.
+
+    ``profile`` is a :class:`~repro.trace.profiles.BenchmarkProfile`,
+    ``config`` the :class:`~repro.core.config.MachineConfig` the run
+    simulates and ``policy`` its :class:`~repro.core.steering.PolicySpec`;
+    each contributes the canonical text of its ``to_key_dict()``.
+    """
+    return result_key(canonical_text(profile.to_key_dict()), trace_uops, seed,
+                      use_slicing, canonical_text(config.to_key_dict()),
+                      canonical_text(policy.to_key_dict()))
 
 
 def canonical_text(value: object) -> str:

@@ -22,6 +22,7 @@ parallel path produces identical sweeps regardless of worker scheduling.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -35,8 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.config import MachineConfig, baseline_config, helper_cluster_config
 from repro.core.steering import make_policy, policy_spec
 from repro.faultkit import FaultInjector, FaultPlan, maybe_inject
-from repro.power.wattch import PowerConfig
-from repro.sim.cache import ResultCache, canonical_text, result_key
+from repro.sim.cache import ResultCache, canonical_text, simulation_key
 from repro.sim.checkpoint import (CampaignCheckpoint, job_to_dict,
                                   write_quarantine_file)
 from repro.sim.metrics import SimulationResult
@@ -92,9 +92,6 @@ class SweepJob:
     design-space exploration fans out over topologies: one job per
     (topology, benchmark) with the topology carried in the job itself, so
     workers and the cache key see exactly the machine the job simulates.
-    ``power`` likewise overrides the engine's energy-coefficient
-    configuration for this job (baseline jobs included — ED² comparisons
-    need baseline energies under the same coefficients).
     """
 
     benchmark: str
@@ -103,7 +100,6 @@ class SweepJob:
     seed: int
     use_slicing: bool = False
     config: Optional[MachineConfig] = None
-    power: Optional[PowerConfig] = None
 
 
 def job_seed(sweep_seed: int, benchmark: str) -> int:
@@ -176,7 +172,7 @@ def trace_for_job(job: SweepJob, profile: Optional[BenchmarkProfile] = None,
 
 def execute_job(job: SweepJob, config: MachineConfig,
                 profile: Optional[BenchmarkProfile] = None,
-                spec=None, power: Optional[PowerConfig] = None,
+                spec=None,
                 store: Optional[TraceStore] = None) -> SimulationResult:
     """Run one job to completion (trace generation included).
 
@@ -185,17 +181,13 @@ def execute_job(job: SweepJob, config: MachineConfig,
     methodology normalises every topology to the same baseline).  ``spec``
     is the job's resolved :class:`~repro.core.steering.PolicySpec`; when
     omitted, the name is resolved against this process's registry.
-    ``power`` supplies the energy coefficients (job-carried config wins);
     ``store`` is the cross-job trace store consulted before generating.
     """
     trace = trace_for_job(job, profile, store)
     policy = make_policy(spec if spec is not None else job.policy)
-    power = job.power or power
     if job.policy == "baseline":
-        return simulate(trace, config=baseline_config(), policy=policy,
-                        power=power)
-    return simulate(trace, config=job.config or config, policy=policy,
-                    power=power)
+        return simulate(trace, config=baseline_config(), policy=policy)
+    return simulate(trace, config=job.config or config, policy=policy)
 
 
 def _claim_path() -> Optional[Path]:
@@ -247,11 +239,11 @@ def _supervised_worker(task: bytes) -> bytes:
     supervisor — not ``multiprocessing``'s error plumbing — owns retry and
     quarantine decisions.
     """
-    job, config, profile, spec, power, attempt, token = pickle.loads(task)
+    job, config, profile, spec, attempt, token = pickle.loads(task)
     _write_claim(token, attempt)
     try:
         maybe_inject(_worker_plan, token, attempt, in_worker=True)
-        result = execute_job(job, config, profile, spec=spec, power=power,
+        result = execute_job(job, config, profile, spec=spec,
                              store=_worker_store)
         outcome: Tuple = ("ok", result)
     except Exception as exc:  # noqa: BLE001 — every failure is reportable
@@ -343,10 +335,6 @@ class SweepEngine:
     cache:
         Optional :class:`ResultCache` consulted before and filled after
         every job.
-    power:
-        Energy-coefficient configuration applied to every job (including
-        baselines); jobs may carry their own override.  Defaults to the
-        standard :class:`~repro.power.wattch.PowerConfig`.
     trace_store_dir:
         Directory of the cross-job trace store.  ``None`` (the default)
         uses a private temporary directory that lives as long as the engine
@@ -376,7 +364,6 @@ class SweepEngine:
 
     def __init__(self, config: Optional[MachineConfig] = None, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
-                 power: Optional[PowerConfig] = None,
                  trace_store_dir: Optional[str] = None,
                  allow_oversubscribe: bool = False,
                  supervisor: Optional[SupervisorPolicy] = None,
@@ -394,7 +381,6 @@ class SweepEngine:
             requested = cpus
         self.jobs = requested
         self.cache = cache
-        self.power = power or PowerConfig()
         self._profiles: Dict[str, BenchmarkProfile] = {}
         #: finalizer that removes the engine-private temp trace directory;
         #: None when the caller supplied (and therefore owns) the directory
@@ -521,7 +507,7 @@ class SweepEngine:
 
     # ------------------------------------------------------------------ keys
     def key_for(self, job: SweepJob) -> str:
-        """Content-address of a job's result.
+        """Content-address of a job's result (:func:`simulation_key`).
 
         The machine configuration contributes through its canonical
         ``to_key_dict()`` (topology included), so any config field change —
@@ -529,25 +515,17 @@ class SweepEngine:
         key and can never serve a stale cached result.  The policy likewise
         contributes through ``PolicySpec.to_key_dict()`` (name, scheme set,
         cluster selector and selector knobs), so two registered policies
-        that differ only in selector or knobs can never alias an entry.
-        The power configuration contributes through
-        ``PowerConfig.to_key_dict()``: results carry their energy figures,
-        so changed coefficients must change the key too.  The profile
-        contributes the same way (``BenchmarkProfile.to_key_dict()``, every
-        distribution knob), replacing the earlier ``repr``-based keying
-        whose coverage was implicit.
+        that differ only in selector or knobs can never alias an entry, and
+        the profile through ``BenchmarkProfile.to_key_dict()`` (every
+        distribution knob).
         """
         if job.policy == "baseline":
             config = baseline_config()
         else:
             config = job.config or self.config
-        profile = self._profile_for(job.benchmark)
-        power = job.power or self.power
-        return result_key(canonical_text(profile.to_key_dict()),
-                          job.trace_uops, job.seed, job.use_slicing,
-                          canonical_text(config.to_key_dict()),
-                          canonical_text(policy_spec(job.policy).to_key_dict()),
-                          canonical_text(power.to_key_dict()))
+        return simulation_key(self._profile_for(job.benchmark),
+                              job.trace_uops, job.seed, job.use_slicing,
+                              config, policy_spec(job.policy))
 
     def register_profile(self, profile: BenchmarkProfile) -> None:
         """Make a (possibly unregistered) profile resolvable by name."""
@@ -561,16 +539,21 @@ class SweepEngine:
         return profile
 
     # ------------------------------------------------------------------- run
-    def token_for(self, job: SweepJob, key: Optional[str] = None) -> str:
+    def token_for(self, job: SweepJob) -> str:
         """Human-legible job identity for supervision and fault decisions.
 
-        The 12-hex-digit result-key prefix distinguishes topology-grid
-        points that share a benchmark and policy (a grid fans out over
-        job-carried configs, which the benchmark:policy pair alone cannot
-        see).
+        ``<benchmark>:<policy>:<digest>``: the 12-hex-digit digest covers
+        the job's other fields (trace length, seed, slicing and the
+        job-carried config, if any), so topology-grid points that share a
+        benchmark and policy stay apart.  It is derived from the job alone,
+        never from the result key, so a key recipe or ``SIMULATOR_VERSION``
+        change does not re-map which jobs a seeded fault plan hits.
         """
-        prefix = f"{job.benchmark}:{job.policy}"
-        return f"{prefix}:{key[:12]}" if key else prefix
+        fields = [job.trace_uops, job.seed, job.use_slicing]
+        if job.config is not None:
+            fields.append(job.config.to_key_dict())
+        digest = hashlib.sha256(canonical_text(fields).encode("utf-8"))
+        return f"{job.benchmark}:{job.policy}:{digest.hexdigest()[:12]}"
 
     def run_jobs(self, sweep_jobs: Sequence[SweepJob],
                  use_cache: bool = True) -> Dict[SweepJob, SimulationResult]:
@@ -589,16 +572,12 @@ class SweepEngine:
         pending: List[SweepJob] = []
         keys: Dict[SweepJob, str] = {}
         seen: set = set()
-        need_keys = (self.cache is not None or self.checkpoint is not None
-                     or self.faults is not None)
         for job in sweep_jobs:
             if job in seen:
                 continue  # duplicate job in the batch
             seen.add(job)
-            if need_keys:
-                keys[job] = self.key_for(job)
             if self.cache is not None and use_cache:
-                key = keys[job]
+                key = keys[job] = self.key_for(job)
                 cached = self.cache.load(key)
                 if cached is not None:
                     results[job] = cached
@@ -628,9 +607,6 @@ class SweepEngine:
         (KeyboardInterrupt included) loses only in-flight work and the
         next invocation resumes from everything that finished.
         """
-
-        def token_for(job: SweepJob) -> str:
-            return self.token_for(job, keys.get(job))
 
         def key_of(job: SweepJob) -> str:
             key = keys.get(job)
@@ -672,10 +648,10 @@ class SweepEngine:
         try:
             if len(pending) > 1 and self.jobs > 1:
                 self._prepare_traces(pending)
-                supervisor.run_parallel(pending, token_for, on_complete,
+                supervisor.run_parallel(pending, self.token_for, on_complete,
                                         on_quarantine)
             else:
-                supervisor.run_serial(pending, token_for, on_complete,
+                supervisor.run_serial(pending, self.token_for, on_complete,
                                       on_quarantine)
         except BaseException:
             # Pool teardown and temp-dir cleanup must run on *every* exit —
@@ -695,16 +671,14 @@ class SweepEngine:
         """One in-process job attempt (the supervisor's serial primitive)."""
         return execute_job(job, self.config,
                            self._profile_for(job.benchmark),
-                           power=self.power, store=self.trace_store)
+                           store=self.trace_store)
 
     def _task_blob(self, job: SweepJob, attempt: int, token: str) -> bytes:
         """Serialise one job attempt for the pool worker protocol (the job
         token stays the last element)."""
         return pickle.dumps((job, job.config or self.config,
                              self._profile_for(job.benchmark),
-                             policy_spec(job.policy),
-                             job.power or self.power,
-                             attempt, token),
+                             policy_spec(job.policy), attempt, token),
                             protocol=pickle.HIGHEST_PROTOCOL)
 
     def _prepare_traces(self, pending: Sequence[SweepJob]) -> None:

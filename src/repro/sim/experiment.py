@@ -27,7 +27,6 @@ from repro.core.config import (
     topology_config,
 )
 from repro.core.steering import make_policy, policy_registry
-from repro.power.wattch import PowerConfig
 from repro.sim.cache import ResultCache
 from repro.sim.engine import SweepEngine, SweepJob, job_seed, trace_for_job
 from repro.sim.metrics import SimulationResult, ed2_improvement, speedup
@@ -47,9 +46,10 @@ def _safe_ed2_improvement(baseline: SimulationResult,
                           candidate: SimulationResult) -> float:
     """ED² improvement, or 0.0 when either run lacks energy figures.
 
-    A candidate simulated with energy accounting disabled has ``ed2 == 0``;
-    reporting that as a +100% gain would be nonsense, so both sides must
-    carry energy for a comparison to mean anything.
+    Every simulated result carries energy, but a hand-built
+    :class:`SimulationResult` has ``ed2 == 0``; reporting that as a +100%
+    gain would be nonsense, so both sides must carry energy for a
+    comparison to mean anything.
     """
     if baseline.ed2 <= 0 or not candidate.has_energy:
         return 0.0
@@ -118,10 +118,6 @@ class PolicySweepResult:
         values = [bench.ed2_improvement(policy)
                   for bench in self._cells(policy)]
         return sum(values) / len(values) if values else 0.0
-
-    def ed2_series(self, policy: str) -> Dict[str, float]:
-        return {bench.benchmark: bench.ed2_improvement(policy)
-                for bench in self._cells(policy)}
 
 
 @dataclass(frozen=True)
@@ -317,9 +313,6 @@ class ExperimentRunner:
     use_cache:
         When False, an existing ``cache_dir`` is bypassed on reads (results
         are still recomputed and stored), the CLI's ``--no-cache``.
-    power:
-        Energy-coefficient configuration for every run (baselines included);
-        ``PowerConfig(enabled=False)`` turns energy accounting off.
     supervisor / faults:
         Passed through to the engine (retry/deadline policy and the
         deterministic fault plan; see :mod:`repro.sim.supervise` and
@@ -339,7 +332,6 @@ class ExperimentRunner:
                  use_slicing: bool = False, jobs: int = 1,
                  cache_dir: Optional[str] = None,
                  use_cache: bool = True,
-                 power: Optional[PowerConfig] = None,
                  trace_store_dir: Optional[str] = None,
                  allow_oversubscribe: bool = False,
                  supervisor=None, faults=None,
@@ -352,7 +344,6 @@ class ExperimentRunner:
         self.config = config or helper_cluster_config()
         self.use_slicing = use_slicing
         self.use_cache = use_cache
-        self.power = power or PowerConfig()
         self.cache = ResultCache(cache_dir) if cache_dir else None
         if trace_store_dir is None and cache_dir:
             # A persistent result cache gets a persistent sibling trace
@@ -364,7 +355,7 @@ class ExperimentRunner:
             quarantine_path = (os.path.join(str(cache_dir), "failed-jobs.json")
                                if cache_dir else "failed-jobs.json")
         self.engine = SweepEngine(config=self.config, jobs=jobs,
-                                  cache=self.cache, power=self.power,
+                                  cache=self.cache,
                                   trace_store_dir=trace_store_dir,
                                   allow_oversubscribe=allow_oversubscribe,
                                   supervisor=supervisor, faults=faults,
@@ -418,7 +409,7 @@ class ExperimentRunner:
             # One-off config override: run directly, outside the engine's
             # (config-keyed) cache.
             return simulate(self.trace_for(profile), config=config,
-                            policy=make_policy(policy_name), power=self.power)
+                            policy=make_policy(policy_name))
         job = self._job(profile, policy_name)
         return self._single_result(job)
 
@@ -537,25 +528,6 @@ def run_spec_suite(policies: Sequence[str], trace_uops: int = DEFAULT_TRACE_UOPS
     names = list(benchmarks) if benchmarks else SPEC_INT_NAMES
     profiles = [SPEC_INT_2000[name] for name in names]
     return runner.run_suite(profiles, policies)
-
-
-def run_topology_exploration(widths: Sequence[int] = (4, 8, 16),
-                             ratios: Sequence[int] = (1, 2),
-                             helper_counts: Sequence[int] = (1, 2),
-                             policy: str = "ir",
-                             trace_uops: int = DEFAULT_TRACE_UOPS,
-                             seed: int = 2006,
-                             benchmarks: Optional[Sequence[str]] = None,
-                             jobs: int = 1, cache_dir: Optional[str] = None,
-                             use_cache: bool = True
-                             ) -> Tuple[TopologySweepResult, ExperimentRunner]:
-    """Design-space exploration: sweep a topology grid over SPEC benchmarks."""
-    runner = ExperimentRunner(trace_uops=trace_uops, seed=seed, jobs=jobs,
-                              cache_dir=cache_dir, use_cache=use_cache)
-    names = list(benchmarks) if benchmarks else SPEC_INT_NAMES
-    profiles = [SPEC_INT_2000[name] for name in names]
-    points = build_topology_grid(widths, ratios, helper_counts)
-    return runner.run_topology_grid(points, profiles, policy=policy), runner
 
 
 def run_policy_ladder(trace_uops: int = DEFAULT_TRACE_UOPS, seed: int = 2006,

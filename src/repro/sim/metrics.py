@@ -5,8 +5,8 @@ produces: timing (cycles, IPC), steering behaviour (fraction of instructions
 executed in the helper cluster, copy percentage), predictor accuracy broken
 down the way Figure 5 reports it (correct / non-fatal misprediction / fatal
 misprediction), the NREADY imbalance rates, the per-cluster activity counts
-consumed by the power model, and — when energy accounting is enabled — the
-per-cluster :class:`~repro.power.wattch.PowerBreakdown` map with the derived
+consumed by the power model, and the per-cluster
+:class:`~repro.power.wattch.PowerBreakdown` map with the derived
 ``energy`` / ``ed`` / ``ed2`` metrics the sweep tables report.
 """
 
@@ -93,8 +93,8 @@ class SimulationResult:
     activity: ActivityCounts = field(default_factory=ActivityCounts)
     #: per-cluster event counts, keyed by cluster name (host first)
     cluster_activity: Dict[str, ClusterActivity] = field(default_factory=dict)
-    #: per-cluster energy breakdowns, keyed by cluster name; empty when the
-    #: run was simulated with energy accounting disabled
+    #: per-cluster energy breakdowns, keyed by cluster name (every simulated
+    #: run fills it; only a hand-built result leaves it empty)
     power: Dict[str, PowerBreakdown] = field(default_factory=dict)
     #: energy of the machine-wide structures (frontend, rename, ROB, caches,
     #: predictors, inter-cluster copy wires)
@@ -124,7 +124,7 @@ class SimulationResult:
     # -------------------------------------------------------------- energy
     @property
     def energy(self) -> float:
-        """Total energy of the run (0.0 when energy accounting was off)."""
+        """Total energy of the run (0.0 for a result without breakdowns)."""
         total = sum(breakdown.total for breakdown in self.power.values())
         if self.shared_power is not None:
             total += self.shared_power.total

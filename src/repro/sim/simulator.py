@@ -70,7 +70,7 @@ from repro.pipeline.recovery import RecoveryManager
 from repro.pipeline.rename import RenameTable
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.scheduler import IssueQueue, IssueQueueEntry
-from repro.power.wattch import ClusterActivity, PowerConfig, PowerModel
+from repro.power.wattch import ClusterActivity, PowerModel
 from repro.sim.metrics import PredictionBreakdown, SimulationResult
 from repro.trace.trace import Trace
 
@@ -127,12 +127,10 @@ class HelperClusterSimulator:
 
     def __init__(self, trace: Trace, config: Optional[MachineConfig] = None,
                  policy: Optional[SteeringPolicy] = None,
-                 power: Optional[PowerConfig] = None,
                  reference_loop: Optional[bool] = None) -> None:
         self.trace = trace
         self.config = config or helper_cluster_config()
         self.policy = policy or BaselineSteering()
-        self.power_config = power or PowerConfig()
         self.topology = self.config.topology
         self.clocking = ClockingModel.from_ratios(
             [spec.clock_ratio for spec in self.topology.clusters])
@@ -598,25 +596,6 @@ class HelperClusterSimulator:
         if dyn.in_rob:
             self.rob.mark_completed(uop.uid)
 
-    # ----------------------------------------------------------- CR checking
-    def _cr_operated_narrow(self, uop: MicroOp) -> bool:
-        """Did this (potential CR) uop actually operate on the low byte only?
-
-        Used to train the carry-width predictor bit at writeback (§3.5).
-        Delegates to the memoised per-uop oracle.
-        """
-        return uop.cr_operated_narrow(self._narrow_width)
-
-    def _cr_violated(self, uop: MicroOp) -> bool:
-        """A CR-steered uop is fatally mispredicted if the carry propagated.
-
-        The carry signal of the helper-cluster ALU is what flags the
-        misprediction (§3.5): reconstructing the wide result from the wide
-        source's upper bits is only correct when no carry leaves the low
-        byte.
-        """
-        return uop.cr_carry_crosses(self._narrow_width)
-
     # --------------------------------------------------------------- recovery
     def _recover(self, trigger: _DynUop, t: int) -> None:
         """Flushing recovery (§3.2): squash from the mispredicted uop onward.
@@ -658,7 +637,7 @@ class HelperClusterSimulator:
         # than the trigger is squashed as well — including anything completing
         # later in this very cycle.
         in_flight_groups = list(self._completions.values())
-        in_flight_groups.append(getattr(self, "_current_completing", []))
+        in_flight_groups.append(self._current_completing)
         for dyns in in_flight_groups:
             for dyn in dyns:
                 if (dyn.domain != _WIDE and dyn.seq >= seq
@@ -839,12 +818,6 @@ class HelperClusterSimulator:
                 self.width_predictor.update_copy(uop.pc, uop.uid in copied_values)
             reason = decision.reason if decision is not None else "none"
             steer_reasons[reason] = steer_reasons.get(reason, 0) + 1
-
-    def policy_uses_cp(self) -> bool:
-        return getattr(self.policy, "uses_copy_prefetch", False)
-
-    def policy_uses_lr(self) -> bool:
-        return getattr(self.policy, "uses_load_replication", False)
 
     # ======================================================================
     # dispatch stage
@@ -1265,10 +1238,9 @@ class HelperClusterSimulator:
 
         # Copy-backs prefetch the reassembled 32-bit value to the wide cluster.
         if plan.copy_backs and uop.has_dest:
-            for _ in range(1):
-                # Modelled as a single burst transfer of the four byte copies;
-                # the copy *count* reflects all four (§3.7 copy statistics).
-                self._inject_copy(uop.uid, cluster, _WIDE, t, prefetch=True)
+            # Modelled as a single burst transfer of the four byte copies;
+            # the copy *count* reflects all four (§3.7 copy statistics).
+            self._inject_copy(uop.uid, cluster, _WIDE, t, prefetch=True)
             self.result.copies += plan.copy_backs - 1
             self.result.activity.copies += plan.copy_backs - 1
 
@@ -1423,11 +1395,10 @@ class HelperClusterSimulator:
 
         # Energy: evaluate the per-cluster power model so every result (and
         # every cached result) carries its breakdowns and ED² for free.
-        if self.power_config.enabled:
-            model = PowerModel(self.power_config)
-            result.power = model.evaluate_topology(self.topology,
-                                                   result.cluster_activity)
-            result.shared_power = model.evaluate_shared(activity)
+        model = PowerModel()
+        result.power = model.evaluate_topology(self.topology,
+                                               result.cluster_activity)
+        result.shared_power = model.evaluate_shared(activity)
 
     # ======================================================================
     # helpers
@@ -1442,8 +1413,6 @@ class HelperClusterSimulator:
 
 
 def simulate(trace: Trace, config: Optional[MachineConfig] = None,
-             policy: Optional[SteeringPolicy] = None,
-             power: Optional[PowerConfig] = None) -> SimulationResult:
+             policy: Optional[SteeringPolicy] = None) -> SimulationResult:
     """Convenience wrapper: build a simulator, run it, return the result."""
-    return HelperClusterSimulator(trace, config=config, policy=policy,
-                                  power=power).run()
+    return HelperClusterSimulator(trace, config=config, policy=policy).run()

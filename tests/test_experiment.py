@@ -39,8 +39,9 @@ class TestEd2Guards:
                                 power=power)
 
     def test_energyless_candidate_reports_zero_not_full_gain(self):
-        """A candidate run with energy accounting disabled must not read as
-        a fake +100% ED² gain against an energy-carrying baseline."""
+        """A candidate without energy figures (a hand-built result) must
+        not read as a fake +100% ED² gain against an energy-carrying
+        baseline."""
         bench = BenchmarkResult(benchmark="b", baseline=self._result(100.0),
                                 by_policy={"p": self._result(0.0)})
         assert bench.ed2_improvement("p") == 0.0

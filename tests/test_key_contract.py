@@ -6,9 +6,11 @@ that feeds the cache key must (a) serialise to *canonical JSON* losslessly —
 unchanged, so the key depends on field values rather than repr formatting —
 and (b) change the key whenever **any** field changes, nested fields
 included.  This module asserts both properties generically for every
-key-contributing dataclass (``MachineConfig``, ``PolicySpec``,
-``PowerConfig``, plus the nested ``ClusterSpec``/``Topology``), by
-perturbing each field in turn and checking the canonical text moves.
+key-contributing dataclass (``MachineConfig``, ``PolicySpec``, plus the
+nested ``ClusterSpec``/``Topology``), by perturbing each field in turn and
+checking the canonical text moves.  The energy coefficients are not a key
+input: ``power/wattch.py`` is fingerprinted by lint rule REP005, so editing
+a coefficient needs a ``SIMULATOR_VERSION`` bump.
 
 Deliberate exemptions (fields that must *not* reach the key) are listed in
 ``KEY_EXEMPT`` so the contract is explicit in both directions.
@@ -36,7 +38,6 @@ from repro.core.config import (
     topology_config,
 )
 from repro.core.steering import PolicySpec, Scheme, make_policy, policy_spec
-from repro.power.wattch import PowerConfig
 from repro.sim.cache import canonical_text
 from repro.sim.simulator import simulate
 from repro.trace.profiles import get_profile
@@ -53,7 +54,6 @@ KEY_EXEMPT = {
 SUBJECTS = [
     pytest.param(helper_cluster_config(), id="MachineConfig"),
     pytest.param(policy_spec("ir_wa"), id="PolicySpec"),
-    pytest.param(PowerConfig(), id="PowerConfig"),
     pytest.param(helper_topology().helpers[0], id="ClusterSpec"),
     pytest.param(helper_topology(), id="Topology"),
 ]
@@ -139,37 +139,14 @@ class TestKeyDictConformance:
                     f"changing the cache key — stale-hit hazard")
 
 
-class TestPowerConfigReachesEngineKey:
-    """The engine folds PowerConfig into result keys (end-to-end check)."""
+class TestPowerCoefficientsAreVersioned:
+    """Results carry energy, so a coefficient edit must retire cached ones."""
 
-    def test_power_config_changes_job_key(self):
-        from repro.sim.engine import SweepEngine, SweepJob
+    def test_wattch_is_fingerprinted(self):
+        from repro.lintkit.config import default_config
+        from repro.lintkit.rules.versioning import semantic_files
 
-        job = SweepJob("gcc", "ir", 1000, 2006)
-        default = SweepEngine(config=helper_cluster_config())
-        tweaked = SweepEngine(config=helper_cluster_config(),
-                              power=PowerConfig(alu_access=11.0))
-        assert default.key_for(job) != tweaked.key_for(job)
-
-    def test_job_carried_power_overrides_engine_power(self):
-        from repro.sim.engine import SweepEngine, SweepJob
-
-        engine = SweepEngine(config=helper_cluster_config())
-        plain = SweepJob("gcc", "ir", 1000, 2006)
-        carried = SweepJob("gcc", "ir", 1000, 2006,
-                           power=PowerConfig(enabled=False))
-        assert engine.key_for(plain) != engine.key_for(carried)
-
-    def test_baseline_jobs_key_on_power_too(self):
-        # Baseline energies feed ED² comparisons, so a coefficient change
-        # must also invalidate cached baselines.
-        from repro.sim.engine import SweepEngine, SweepJob
-
-        job = SweepJob("gcc", "baseline", 1000, 2006)
-        default = SweepEngine(config=helper_cluster_config())
-        tweaked = SweepEngine(config=helper_cluster_config(),
-                              power=PowerConfig(wide_clock_per_cycle=13.0))
-        assert default.key_for(job) != tweaked.key_for(job)
+        assert "src/repro/power/wattch.py" in semantic_files(default_config())
 
 
 # ---------------------------------------------------------------------------

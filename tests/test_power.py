@@ -196,19 +196,6 @@ class TestPerClusterScaling:
         assert set(breakdowns) == {"wide"}
 
 
-class TestPowerConfigKeyDict:
-    def test_round_trips_canonical_json(self):
-        from repro.sim.cache import canonical_text
-        import json
-
-        key = PowerConfig().to_key_dict()
-        assert json.loads(canonical_text(key)) == key
-
-    def test_disabled_flag_part_of_key(self):
-        assert PowerConfig(enabled=False).to_key_dict() != \
-            PowerConfig().to_key_dict()
-
-
 class TestEnergyDelay:
     def test_ed2_definition(self):
         report = EnergyReport(label="x", energy=10.0, delay_cycles=4.0)

@@ -125,19 +125,6 @@ class TestHelperRun:
         assert result.shared_power.per_structure["frontend"] > 0
         assert result.selector == "least_loaded"
 
-    def test_energy_accounting_can_be_disabled(self, tiny_trace):
-        from repro.power.wattch import PowerConfig
-
-        off = simulate(tiny_trace, config=helper_cluster_config(),
-                       policy=make_policy("n888"),
-                       power=PowerConfig(enabled=False))
-        on = simulate(tiny_trace, config=helper_cluster_config(),
-                      policy=make_policy("n888"))
-        assert not off.has_energy and off.energy == 0.0
-        # Disabling energy never changes timing.
-        assert off.slow_cycles == on.slow_cycles
-        assert off.committed_uops == on.committed_uops
-
     def test_imbalance_rates_bounded(self, tiny_trace):
         result = simulate(tiny_trace, config=helper_cluster_config(),
                           policy=make_policy("n888_br_lr_cr"))
