@@ -74,7 +74,7 @@ def analyze_carry(trace: Trace, narrow_width: int = NARROW_WIDTH) -> CarryReport
             continue
         narrow_value, wide_value = pair
         no_carry = carry_not_propagated(narrow_value, wide_value, narrow_width)
-        if uop.op_class in (OpClass.LOAD, OpClass.STORE):
+        if uop.info.op_class in (OpClass.LOAD, OpClass.STORE):
             report.load_candidates += 1
             if no_carry:
                 report.load_no_carry += 1

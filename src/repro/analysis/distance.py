@@ -10,7 +10,7 @@ code has an average distance of a few uops, which is favourable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.trace.trace import Trace
 

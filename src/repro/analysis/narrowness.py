@@ -12,8 +12,8 @@ and 43.5% require two narrow operands and produce a narrow result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.isa.opcodes import OpClass
 from repro.isa.values import NARROW_WIDTH, is_narrow
@@ -68,10 +68,10 @@ def analyze_narrowness(trace: Trace, narrow_width: int = NARROW_WIDTH) -> Narrow
                 report.narrow_dependent_operands += 1
 
         # §1 breakdown over plain ALU instructions with register sources.
-        if uop.op_class is OpClass.ALU and uop.srcs and uop.src_values:
+        if uop.info.op_class is OpClass.ALU and uop.srcs and uop.src_values:
             report.alu_total += 1
             narrow_srcs = sum(1 for v in uop.src_values if is_narrow(v, narrow_width))
-            result_narrow = uop.result_is_narrow(narrow_width)
+            result_narrow = uop.result_width <= narrow_width
             if narrow_srcs >= 2 or (narrow_srcs == len(uop.src_values) and narrow_srcs >= 2):
                 if result_narrow:
                     report.alu_two_narrow_narrow_result += 1

@@ -48,7 +48,6 @@ from repro.sim.experiment import (
     ExperimentRunner,
     build_topology_grid,
     mixed_topology_point,
-    run_spec_suite,
 )
 from repro.sim.reporting import (
     cache_stats_line,

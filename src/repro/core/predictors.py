@@ -21,7 +21,7 @@ Three predictors are described in the paper, all built around the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.isa.values import NARROW_WIDTH

@@ -15,10 +15,10 @@ large reduction in copy traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.isa.opcodes import OpClass, Opcode, opcode_info
+from repro.isa.opcodes import Opcode, opcode_info
 from repro.isa.uop import MicroOp
 from repro.isa.values import NARROW_WIDTH, split_bytes
 

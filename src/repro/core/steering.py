@@ -28,9 +28,9 @@ cache key so policies differing only in selector or knobs never alias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.config import MachineConfig
 from repro.core.copy_engine import CopyEngine
@@ -43,10 +43,9 @@ from repro.core.selection import (
     make_selector,
 )
 from repro.core.splitting import InstructionSplitter
-from repro.isa.opcodes import OpClass, Opcode
+from repro.isa.opcodes import OpClass
 from repro.isa.registers import ArchReg
 from repro.isa.uop import MicroOp
-from repro.isa.values import is_narrow, truncate, value_width
 from repro.pipeline.clocking import ClockDomain
 from repro.pipeline.frontend import FetchedUop
 from repro.pipeline.rename import RenameTable
@@ -299,6 +298,7 @@ class DataWidthSteering(SteeringPolicy):
         self._ctx_active = bool(ctx.num_helpers) and bool(self.schemes)
         self._ctx_fp = ctx.helper_fp_available
         self._ctx_width_steering = ctx.width_steering
+        self._ctx_steering_width = ctx.steering_width
         self._ctx_narrow_width = ctx.config.narrow_width
         self._rename_entries = ctx.rename.table
         self._flags_entry = ctx.rename.table[ArchReg.FLAGS]
@@ -306,17 +306,6 @@ class DataWidthSteering(SteeringPolicy):
         self._imbalance = ctx.imbalance
 
     # ------------------------------------------------------------------ helpers
-    def _immediate_narrow(self, uop: MicroOp, ctx: SteeringContext) -> bool:
-        if uop.imm is None:
-            return True
-        memo = uop.__dict__.get("_imm_narrow_memo")
-        width = ctx.steering_width
-        if memo is not None and memo[0] == width:
-            return memo[1]
-        result = is_narrow(truncate(uop.imm), width)
-        uop._imm_narrow_memo = (width, result)
-        return result
-
     def _width_requirement(self, uop: MicroOp, ctx: SteeringContext,
                            prediction: Optional[WidthPrediction]
                            ) -> Optional[ClusterRequirement]:
@@ -328,14 +317,10 @@ class DataWidthSteering(SteeringPolicy):
         """
         if not ctx.width_steering:
             return None
-        bits = 1
+        bits = uop.imm_width
         rename = ctx.rename
         for reg in uop.srcs:
             width = rename.source_width_bits(reg)
-            if width > bits:
-                bits = width
-        if uop.imm is not None:
-            width = value_width(truncate(uop.imm))
             if width > bits:
                 bits = width
         if (uop.has_dest and prediction is not None
@@ -361,7 +346,8 @@ class DataWidthSteering(SteeringPolicy):
             stats.to_wide += 1
             return SteerDecision(domain=ClockDomain.WIDE,
                                  reason="helper_disabled")
-        op_class = uop.op_class
+        info = uop.info
+        op_class = info.op_class
         if (op_class is OpClass.MUL or op_class is OpClass.DIV
                 or (op_class is OpClass.FP and not self._ctx_fp)):
             stats.to_wide += 1
@@ -377,8 +363,8 @@ class DataWidthSteering(SteeringPolicy):
         # Branches are never candidates for the width-prediction based
         # schemes (they have no register result); they go to the helper
         # cluster only under the BR rule.
-        if uop.is_branch:
-            if self._has_br and uop.is_cond_branch:
+        if info.is_branch:
+            if self._has_br and info.is_cond_branch:
                 # Domains may be plain cluster indices (>= 2) for extra
                 # helper clusters, so compare by value, not identity.
                 if (self._flags_entry.producer_domain != ClockDomain.WIDE
@@ -398,13 +384,13 @@ class DataWidthSteering(SteeringPolicy):
             if not entries[reg].narrow:
                 sources_narrow = False
                 break
-        if sources_narrow and uop.imm is not None:
-            sources_narrow = self._immediate_narrow(uop, ctx)
+        if sources_narrow and uop.imm_width > self._ctx_steering_width:
+            sources_narrow = False
 
         # --- LR: loads predicted to fetch a narrow value have their result
         # register allocated in both clusters through the shared MOB (§3.4),
         # independent of which cluster executes the load.
-        replicate = (self._has_lr and uop.is_load
+        replicate = (self._has_lr and info.is_load
                      and prediction.narrow and prediction.confident)
 
         # --- 8-8-8: all sources narrow and result predicted narrow with
@@ -426,11 +412,11 @@ class DataWidthSteering(SteeringPolicy):
 
         # --- CR: one narrow and one wide source, wide result, carry predicted
         # not to propagate past the low byte (§3.5).
-        if self._has_cr and uop.info.cr_eligible and not rebalance_to_wide:
+        if self._has_cr and info.cr_eligible and not rebalance_to_wide:
             source_widths = [entries[reg].narrow for reg in uop.srcs]
             wide_count = source_widths.count(False)
             result_predicted_wide = uop.has_dest and not prediction.narrow
-            addresses_memory = uop.is_memory  # address result is consumed wide
+            addresses_memory = info.is_memory  # address result is consumed wide
             # Memory operations additionally require the narrow operand to be
             # an immediate (field-style base+displacement addressing).  Index
             # registers sweep through values and routinely cross the carry

@@ -20,9 +20,9 @@ per cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum, IntEnum, auto
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from enum import IntEnum, auto
+from typing import Callable, Dict, Tuple
 
 from repro.isa.registers import Flags
 from repro.isa.values import MACHINE_WIDTH, to_signed, truncate
@@ -131,6 +131,8 @@ class OpcodeInfo:
     cr_eligible:
         Whether the CR scheme may consider this uop (multiply/divide are
         excluded because the carry signal cannot flag their mispredictions).
+    is_load / is_store / is_branch / is_cond_branch:
+        Class predicates, derived from ``op_class`` once per opcode.
     """
 
     op_class: OpClass
@@ -142,6 +144,18 @@ class OpcodeInfo:
     is_memory: bool = False
     splittable: bool = False
     cr_eligible: bool = False
+    is_load: bool = field(init=False)
+    is_store: bool = field(init=False)
+    is_branch: bool = field(init=False)
+    is_cond_branch: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        op_class = self.op_class
+        object.__setattr__(self, "is_load", op_class == OpClass.LOAD)
+        object.__setattr__(self, "is_store", op_class == OpClass.STORE)
+        object.__setattr__(self, "is_branch",
+                           op_class in (OpClass.BRANCH, OpClass.JUMP))
+        object.__setattr__(self, "is_cond_branch", op_class == OpClass.BRANCH)
 
 
 OPCODE_INFO: Dict[Opcode, OpcodeInfo] = {
@@ -297,9 +311,10 @@ def execute(opcode: Opcode, src_a: int, src_b: int = 0) -> Tuple[int, int]:
     """Execute an opcode's integer semantics.
 
     Returns ``(result, flags_value)``.  Opcodes with no integer semantics
-    return ``(0, 0)``.
+    return ``(0, 0)``.  ``Opcode`` is an ``IntEnum``, so a member and its
+    integer value find the same table entry without enum coercion.
     """
-    fn = SEMANTICS.get(Opcode(opcode))
+    fn = SEMANTICS.get(opcode)
     if fn is None:
         return 0, 0
     return fn(src_a, src_b)

@@ -84,8 +84,12 @@ class RegisterFile:
     _values: Dict[ArchReg, int] = field(default_factory=dict)
 
     def read(self, reg: ArchReg) -> int:
-        """Read a register; unwritten registers read as zero."""
-        return self._values.get(ArchReg(reg), 0)
+        """Read a register; unwritten registers read as zero.
+
+        ``ArchReg`` is an ``IntEnum``, so a member and its integer value
+        probe the same key and the read needs no enum coercion.
+        """
+        return self._values.get(reg, 0)
 
     def write(self, reg: ArchReg, value: int) -> None:
         """Write a register, truncating to the register file's width."""

@@ -12,18 +12,24 @@ a uop are the oracle against which predictions are scored.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.isa.opcodes import OpClass, Opcode, OpcodeInfo, opcode_info
+from repro.isa.opcodes import Opcode, OpcodeInfo, opcode_info
 from repro.isa.registers import ArchReg
-from repro.isa.values import NARROW_WIDTH, is_narrow, truncate, value_width
+from repro.isa.values import carry_propagates, is_narrow, truncate, value_width
 
 
-@dataclass
+@dataclass(slots=True)
 class MicroOp:
     """One micro-operation of the trace.
+
+    Every fact the pipeline asks of a uop is derived once, in
+    ``__post_init__``, which is the one construction path that the trace
+    generator, the trace loaders, :class:`UopBuilder` and :meth:`with_values`
+    share; nothing writes to a MicroOp after it is built.  Opcode-only facts
+    are read from the shared :class:`~repro.isa.opcodes.OpcodeInfo` as
+    ``uop.info.<fact>``.
 
     Attributes
     ----------
@@ -54,9 +60,26 @@ class MicroOp:
     flags_producer_uid:
         uid of the most recent writer of FLAGS before this uop (relevant for
         conditional branches).
-    synthetic:
-        True for uops injected by the microarchitecture itself (copies, split
-        chunks); these never appear in input traces.
+
+    Derived at construction
+    -----------------------
+    info:
+        The opcode's static :class:`~repro.isa.opcodes.OpcodeInfo`.
+    has_dest:
+        Whether the uop names a destination and its opcode writes one.
+    effective_producers:
+        Producer uids this uop waits on, FLAGS producer included.  The FLAGS
+        producer joins only when the register sources do not already cover
+        every source slot (dispatch's dependence-resolution rule); ``None``
+        live-in entries are dropped.
+    src_width / imm_width / result_width:
+        Two's-complement widths in bits (:func:`~repro.isa.values.value_width`)
+        of the widest source operand, the immediate included; of the
+        immediate; and of the result.  An absent value counts as 1 bit, so it
+        fits any datapath.  On 32-bit values ``is_narrow(v, w)`` holds
+        exactly when ``value_width(v) <= w``, so every width oracle is an
+        integer compare: all sources narrow at ``w`` is
+        ``uop.src_width <= w``.
     """
 
     uid: int
@@ -73,171 +96,44 @@ class MicroOp:
     is_taken: bool = False
     producer_uids: Tuple[Optional[int], ...] = ()
     flags_producer_uid: Optional[int] = None
-    synthetic: bool = False
+    info: OpcodeInfo = field(init=False, repr=False, compare=False)
+    has_dest: bool = field(init=False, repr=False, compare=False)
+    effective_producers: Tuple[int, ...] = field(init=False, repr=False,
+                                                 compare=False)
+    src_width: int = field(init=False, repr=False, compare=False)
+    imm_width: int = field(init=False, repr=False, compare=False)
+    result_width: int = field(init=False, repr=False, compare=False)
 
-    # ------------------------------------------------------------------ info
-    @cached_property
-    def info(self) -> OpcodeInfo:
-        """Static opcode properties."""
-        return opcode_info(self.opcode)
-
-    @cached_property
-    def op_class(self) -> OpClass:
-        return self.info.op_class
-
-    @cached_property
-    def has_dest(self) -> bool:
-        return self.dest is not None and self.info.has_dest
-
-    @cached_property
-    def writes_flags(self) -> bool:
-        return self.info.writes_flags
-
-    @cached_property
-    def reads_flags(self) -> bool:
-        return self.info.reads_flags
-
-    @cached_property
-    def is_memory(self) -> bool:
-        return self.info.is_memory
-
-    @cached_property
-    def is_load(self) -> bool:
-        return self.op_class == OpClass.LOAD
-
-    @cached_property
-    def is_store(self) -> bool:
-        return self.op_class == OpClass.STORE
-
-    @cached_property
-    def is_branch(self) -> bool:
-        return self.op_class in (OpClass.BRANCH, OpClass.JUMP)
-
-    @cached_property
-    def is_cond_branch(self) -> bool:
-        return self.op_class == OpClass.BRANCH
-
-    @cached_property
-    def is_fp(self) -> bool:
-        return self.op_class == OpClass.FP
-
-    @cached_property
-    def is_copy(self) -> bool:
-        return self.op_class == OpClass.COPY
-
-    @cached_property
-    def latency(self) -> int:
-        """Execution latency in wide-cluster cycles."""
-        return self.info.latency
-
-    # --------------------------------------------------------------- widths
-    def src_is_narrow(self, index: int, narrow_width: int = NARROW_WIDTH) -> bool:
-        """True if the ``index``-th source value is narrow (oracle view)."""
-        if index >= len(self.src_values):
-            return True
-        return is_narrow(self.src_values[index], narrow_width)
-
-    def all_sources_narrow(self, narrow_width: int = NARROW_WIDTH) -> bool:
-        """True if every source value (and the immediate) is narrow.
-
-        Memoised per uop: traces are shared across the simulator runs of a
-        policy sweep, so the oracle is computed once, not once per run.
-        """
-        memo = self.__dict__.get("_asn_memo")
-        if memo is not None and memo[0] == narrow_width:
-            return memo[1]
-        result = True
-        for value in self.src_values:
-            if not is_narrow(value, narrow_width):
-                result = False
-                break
-        if result and self.imm is not None and not is_narrow(
-                truncate(self.imm), narrow_width):
-            result = False
-        self._asn_memo = (narrow_width, result)
-        return result
-
-    def result_is_narrow(self, narrow_width: int = NARROW_WIDTH) -> bool:
-        """True if the result value is narrow (uops with no result count as narrow)."""
-        memo = self.__dict__.get("_rin_memo")
-        if memo is not None and memo[0] == narrow_width:
-            return memo[1]
-        if self.result_value is None:
-            result = True
-        else:
-            result = is_narrow(self.result_value, narrow_width)
-        self._rin_memo = (narrow_width, result)
-        return result
-
-    def result_width_bits(self) -> int:
-        """Two's-complement width of the result value in bits, memoised.
-
-        Uops with no result count as 1 bit (they fit any datapath), matching
-        :meth:`result_is_narrow`'s no-result convention.
-        """
-        bits = self.__dict__.get("_rwb_memo")
-        if bits is None:
-            bits = 1 if self.result_value is None else value_width(self.result_value)
-            self._rwb_memo = bits
-        return bits
-
-    # ------------------------------------------------------- CR oracles (§3.5)
-    def _cr_values(self) -> List[int]:
-        values = list(self.src_values)
-        if self.imm is not None:
-            values.append(self.imm)
-        return values
-
-    def cr_carry_crosses(self, narrow_width: int = NARROW_WIDTH) -> bool:
-        """Carry out of the low byte when summing the two primary operands."""
-        memo = self.__dict__.get("_crc_memo")
-        if memo is not None and memo[0] == narrow_width:
-            return memo[1]
-        values = self._cr_values()
-        mask = (1 << narrow_width) - 1
-        result = (len(values) >= 2
-                  and (values[0] & mask) + (values[1] & mask) > mask)
-        self._crc_memo = (narrow_width, result)
-        return result
-
-    def cr_operated_narrow(self, narrow_width: int = NARROW_WIDTH) -> bool:
-        """Did this (potential CR) uop actually operate on the low byte only?
-
-        Set when the instruction had the one-narrow/one-wide operand pattern
-        and the carry did not propagate past the low byte.
-        """
-        memo = self.__dict__.get("_cron_memo")
-        if memo is not None and memo[0] == narrow_width:
-            return memo[1]
-        values = self._cr_values()
-        result = False
-        if len(values) >= 2:
-            wide_vals = [v for v in values if not is_narrow(v, narrow_width)]
-            if len(wide_vals) == 1 and len(wide_vals) != len(values):
-                result = not self.cr_carry_crosses(narrow_width)
-        self._cron_memo = (narrow_width, result)
-        return result
-
-    def is_fully_narrow(self, narrow_width: int = NARROW_WIDTH) -> bool:
-        """The 8-8-8 oracle condition of §3.2: all sources and the result narrow."""
-        return self.all_sources_narrow(narrow_width) and self.result_is_narrow(narrow_width)
-
-    # --------------------------------------------------------------- deps
-    @cached_property
-    def effective_producers(self) -> Tuple[int, ...]:
-        """Producer uids this uop waits on, FLAGS producer included.
-
-        The FLAGS producer joins the list only when the register sources do
-        not already cover every source slot (matching dispatch's historical
-        dependence-resolution rule).  ``None`` live-in entries are dropped.
-        """
-        producers = [uid for uid in self.producer_uids if uid is not None]
-        if (self.reads_flags and self.flags_producer_uid is not None
+    def __post_init__(self) -> None:
+        info = opcode_info(self.opcode)
+        self.info = info
+        self.has_dest = self.dest is not None and info.has_dest
+        producers = self.producer_uids
+        if None in producers:
+            producers = tuple([uid for uid in producers if uid is not None])
+        if (info.reads_flags and self.flags_producer_uid is not None
                 and len(self.producer_uids) < len(self.srcs)):
-            producers.append(self.flags_producer_uid)
-        return tuple(producers)
+            producers = producers + (self.flags_producer_uid,)
+        self.effective_producers = producers
+        imm_width = src_width = 1 if self.imm is None else value_width(self.imm)
+        for value in self.src_values:
+            width = value_width(value)
+            if width > src_width:
+                src_width = width
+        self.imm_width = imm_width
+        self.src_width = src_width
+        self.result_width = (1 if self.result_value is None
+                             else value_width(self.result_value))
 
-    # --------------------------------------------------------------- helpers
+    def __reduce__(self):
+        # Pickle positionally over the constructor fields: the derived facts
+        # are re-derived on load, never stored.
+        return (MicroOp, (self.uid, self.pc, self.opcode, self.srcs, self.dest,
+                          self.imm, self.src_values, self.result_value,
+                          self.flags_value, self.mem_addr, self.mem_size,
+                          self.is_taken, self.producer_uids,
+                          self.flags_producer_uid))
+
     def with_values(
         self,
         src_values: Sequence[int],
@@ -259,6 +155,38 @@ class MicroOp:
             f"MicroOp(uid={self.uid}, pc={self.pc:#x}, {self.opcode.name} "
             f"{dest} <- [{srcs}] imm={self.imm})"
         )
+
+
+# ---------------------------------------------------------- CR oracles (§3.5)
+def _cr_operands(uop: MicroOp) -> Tuple[int, ...]:
+    if uop.imm is None:
+        return uop.src_values
+    return uop.src_values + (uop.imm,)
+
+
+def cr_carry_crosses(uop: MicroOp, narrow_width: int) -> bool:
+    """Carry out of the low ``narrow_width`` bits when summing the two
+    primary operands (the immediate counts as an operand)."""
+    values = _cr_operands(uop)
+    return (len(values) >= 2
+            and carry_propagates(values[0], values[1], narrow_width))
+
+
+def cr_operated_narrow(uop: MicroOp, narrow_width: int) -> bool:
+    """Did this (potential CR) uop actually operate on the low bits only?
+
+    True when exactly one of its two or more operands is wider than
+    ``narrow_width`` bits and the carry did not propagate past the low bits.
+    """
+    if uop.src_width <= narrow_width:
+        return False  # no wide operand
+    values = _cr_operands(uop)
+    wide = 0
+    for value in values:
+        if not is_narrow(value, narrow_width):
+            wide += 1
+    return (wide == 1 and len(values) >= 2
+            and not carry_propagates(values[0], values[1], narrow_width))
 
 
 class UopBuilder:
@@ -286,14 +214,8 @@ class UopBuilder:
         mem_addr: Optional[int] = None,
         mem_size: int = 4,
         is_taken: bool = False,
-        synthetic: bool = False,
     ) -> MicroOp:
         """Create a new MicroOp with the next uid."""
-        info = opcode_info(opcode)
-        if dest is None and info.has_dest and info.op_class not in (OpClass.NOP,):
-            # Many call sites know the opcode produces a result; tolerate the
-            # omission for opcodes that architecturally have no destination.
-            pass
         return MicroOp(
             uid=self.next_uid(),
             pc=pc,
@@ -304,7 +226,6 @@ class UopBuilder:
             mem_addr=None if mem_addr is None else truncate(mem_addr),
             mem_size=mem_size,
             is_taken=is_taken,
-            synthetic=synthetic,
         )
 
     def alu(self, opcode: Opcode, dest: ArchReg, srcs: Sequence[ArchReg], *, pc: int = 0,

@@ -89,13 +89,14 @@ def value_width(value: int, width: int = MACHINE_WIDTH) -> int:
     A value whose upper bits are a sign-extension of bit ``k-1`` has width
     ``k``.  ``value_width(0) == 1`` and ``value_width(0xFFFFFFFF) == 1``
     (it is -1, representable in a single bit of two's complement plus sign
-    replication), matching the hardware leading-zero/one detector view.
+    replication), matching the hardware leading-zero/one detector view:
+    ``width`` minus the longer of the two leading runs, which is the bit
+    length of the value, or of its complement when the sign bit is set.
     """
-    value = truncate(value, width)
-    lz = leading_zero_count(value, width)
-    lo = leading_one_count(value, width)
-    redundant = max(lz, lo)
-    return max(1, width - redundant)
+    value &= (1 << width) - 1
+    if value >> (width - 1):
+        value ^= (1 << width) - 1
+    return value.bit_length() or 1
 
 
 def is_narrow(value: int, narrow_width: int = NARROW_WIDTH, width: int = MACHINE_WIDTH) -> bool:

@@ -8,8 +8,8 @@ trace itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 
 @dataclass(frozen=True)

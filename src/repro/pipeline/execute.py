@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.isa.opcodes import FunctionalUnit, Opcode, opcode_info
-from repro.pipeline.clocking import ClockDomain, ClockingModel
+from repro.pipeline.clocking import ClockingModel
 
 #: Baseline per-unit issue-to-result latencies in slow cycles, by unit kind.
 #: Opcode-specific latencies from ``OPCODE_INFO`` take precedence; this table

@@ -12,7 +12,7 @@ which the steering policy then consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.isa.uop import MicroOp
 from repro.memory.tracecache import TraceCache, TraceCacheConfig
@@ -72,7 +72,6 @@ class Frontend:
         uops = self.trace.uops
         total = len(uops)
         tc_fetch = self.trace_cache.fetch
-        fraction = self.frontend_branch_resolution_fraction
         while budget > 0 and self._cursor < total:
             uop = uops[self._cursor]
             penalty = tc_fetch(uop.pc)
@@ -82,19 +81,10 @@ class Frontend:
                 self._stall_until_slow_cycle = slow_cycle + penalty
                 self.tc_stall_cycles += penalty
                 break
-            # Frontend resolvability is a pure function of the (shared) uop
-            # and the resolution fraction, so it is memoised on the uop: a
-            # trace reused across the runs of a policy sweep pays once.
-            memo = uop.__dict__.get("_fe_resolve_memo")
-            if memo is not None and memo[0] == fraction:
-                resolved = memo[1]
-            else:
-                resolved = self._resolves_in_frontend(uop)
-                uop._fe_resolve_memo = (fraction, resolved)
             fetched.append(FetchedUop(
                 uop=uop,
                 seq=self._seq,
-                target_resolved_in_frontend=resolved,
+                target_resolved_in_frontend=self._resolves_in_frontend(uop),
             ))
             self._cursor += 1
             self._seq += 1
@@ -110,7 +100,7 @@ class Frontend:
         pattern.  The synthetic traces mark those branches by carrying no
         general-register source other than FLAGS, which is the same condition.
         """
-        if not uop.is_cond_branch:
+        if not uop.info.is_cond_branch:
             return False
         has_gpr_source = any(not r.is_flags for r in uop.srcs)
         if has_gpr_source:

@@ -22,7 +22,7 @@ the value (once known) is narrow, and the CR linkage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.isa.registers import ArchReg

@@ -32,7 +32,7 @@ constants there — which is what anchors the energy golden pins
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping
 
 from repro.isa.values import MACHINE_WIDTH, NARROW_WIDTH
 

@@ -59,7 +59,7 @@ from repro.core.steering import (
 )
 from repro.isa.opcodes import FunctionalUnit, Opcode
 from repro.isa.registers import ArchReg
-from repro.isa.uop import MicroOp
+from repro.isa.uop import MicroOp, cr_carry_crosses, cr_operated_narrow
 from repro.isa.values import is_narrow
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.tracecache import TraceCache
@@ -509,7 +509,7 @@ class HelperClusterSimulator:
                 if parent.uop is not None and parent.uop.has_dest:
                     self.rename.writeback(parent.uop.dest, parent.value_uid,
                                           narrow=False, domain=dyn.domain)
-                if parent.uop is not None and parent.uop.writes_flags:
+                if parent.uop is not None and parent.uop.info.writes_flags:
                     self.rename.writeback(ArchReg.FLAGS, parent.value_uid,
                                           narrow=True, domain=dyn.domain)
             parent.completed = True
@@ -519,11 +519,13 @@ class HelperClusterSimulator:
     # hot-path
     def _complete_trace_uop(self, dyn: _DynUop, t: int) -> None:
         uop = dyn.uop
+        info = uop.info
         domain = dyn.domain
         decision = dyn.decision
         self.clusters[domain].stats.completed += 1
 
-        actual_narrow = uop.result_is_narrow(self._steer_width)
+        result_width = uop.result_width
+        actual_narrow = result_width <= self._steer_width
         has_dest = uop.has_dest
 
         # Fatal width misprediction detection: only instructions steered to
@@ -536,10 +538,9 @@ class HelperClusterSimulator:
         if domain != _WIDE and decision is not None:
             if decision.predicted_narrow:
                 width = self._cluster_widths[domain]
-                fatal = (not uop.all_sources_narrow(width)
-                         or not uop.result_is_narrow(width))
+                fatal = uop.src_width > width or result_width > width
             elif decision.via_cr:
-                fatal = uop.cr_carry_crosses(self._narrow_width)
+                fatal = cr_carry_crosses(uop, self._narrow_width)
 
         # Figure 5 accounting: every result-producing uop whose width was
         # predicted contributes one outcome.
@@ -557,10 +558,10 @@ class HelperClusterSimulator:
         if has_dest:
             self.width_predictor.update(
                 uop.pc, actual_narrow,
-                width_bits=uop.result_width_bits() if track_width else None)
-        if uop.info.cr_eligible:
+                width_bits=result_width if track_width else None)
+        if info.cr_eligible:
             self.width_predictor.update_carry(
-                uop.pc, uop.cr_operated_narrow(self._narrow_width))
+                uop.pc, cr_operated_narrow(uop, self._narrow_width))
 
         if fatal:
             self._recover(dyn, t)
@@ -575,13 +576,12 @@ class HelperClusterSimulator:
                 self.rename.writeback(
                     uop.dest, value_uid, narrow=actual_narrow,
                     domain=domain,
-                    width_bits=(uop.result_width_bits()
-                                if track_width else None))
-            if uop.writes_flags:
+                    width_bits=result_width if track_width else None)
+            if info.writes_flags:
                 self.rename.writeback(ArchReg.FLAGS, value_uid, narrow=True,
                                       domain=domain)
             self._wake(value_uid, domain)
-            if dyn.replicate_load and uop.is_load and actual_narrow:
+            if dyn.replicate_load and info.is_load and actual_narrow:
                 # LR (§3.4): the narrow load value is written into every
                 # cluster's register file through the shared MOB.  A value
                 # too wide for a cluster's register file cannot be replicated
@@ -591,7 +591,7 @@ class HelperClusterSimulator:
                 self.copy_engine.note_replicated(value_uid, t)
                 widths = self._cluster_widths
                 for other in range(len(self.clusters)):
-                    if other != domain and uop.result_is_narrow(widths[other]):
+                    if other != domain and result_width <= widths[other]:
                         self._wake(value_uid, other)
         if dyn.in_rob:
             self.rob.mark_completed(uop.uid)
@@ -772,7 +772,7 @@ class HelperClusterSimulator:
             # charged the DL0 hit latency.
             return completion + self._dl0_hit_fast
         self._dl0_slots[slow_cycle] = self._dl0_slots.get(slow_cycle, 0) + 1
-        if uop.is_store:
+        if uop.info.is_store:
             latency_slow = self.memory.store(uop.mem_addr)
             # Stores complete (for dependence purposes) once the address and
             # data are known; the cache write happens post-commit.
@@ -810,7 +810,7 @@ class HelperClusterSimulator:
                 self._helper_committed += 1
             if split:
                 self._split_committed += 1
-            if uop.is_memory:
+            if uop.info.is_memory:
                 self.mob.release(uop.uid)
             # Copy-prefetch predictor training: the producer "incurred a copy"
             # if any consumer demanded one before it retired (§3.6).
@@ -866,7 +866,8 @@ class HelperClusterSimulator:
         uop = fetched.uop
         if self.rob.is_full():
             return None
-        if uop.is_memory and not self.mob.can_allocate(uop.is_store):
+        info = uop.info
+        if info.is_memory and not self.mob.can_allocate(info.is_store):
             return None
 
         decision = self._steer(fetched, self.context)
@@ -895,7 +896,7 @@ class HelperClusterSimulator:
             dyn_id=self._dyn_counter, kind="trace", seq=fetched.seq,
             domain=cluster, opcode=uop.opcode, uop=uop,
             decision=decision,
-            value_uid=uop.uid if (uop.has_dest or uop.writes_flags) else None,
+            value_uid=uop.uid if (uop.has_dest or info.writes_flags) else None,
             predicted_narrow=predicted_narrow,
             replicate_load=decision.replicate_load and self._uses_lr,
         )
@@ -921,12 +922,13 @@ class HelperClusterSimulator:
             return False
 
         activity = self._activity
+        info = uop.info
         if allocate_rob:
             self.rob.allocate(uop.uid, dyn.seq, payload=dyn)
             dyn.in_rob = True
             activity.rob_ops += 1
-            if uop.is_memory:
-                self.mob.allocate(uop.uid, dyn.seq, uop.is_store, uop.mem_addr,
+            if info.is_memory:
+                self.mob.allocate(uop.uid, dyn.seq, info.is_store, uop.mem_addr,
                                   uop.mem_size)
             # Rename the destination and record the steering domain so later
             # consumers know where the value will live (§3.2 width table).
@@ -952,13 +954,13 @@ class HelperClusterSimulator:
                                 and not is_narrow(src_values[i], narrow_width)):
                             self.rename.link_upper_bits(uop.dest, r)
                             break
-            if uop.writes_flags:
+            if info.writes_flags:
                 self.rename.allocate(ArchReg.FLAGS, uop.uid, dyn.domain, True)
             activity.rename_ops += 1
 
         iq.insert(IssueQueueEntry(
             uid=dyn.dyn_id, seq=dyn.seq, remaining_sources=outstanding,
-            is_memory=uop.is_memory, payload=dyn), force=force)
+            is_memory=info.is_memory, payload=dyn), force=force)
         backend.stats.dispatched += 1
         self._account_dispatch(dyn, backend)
 
@@ -1192,7 +1194,8 @@ class HelperClusterSimulator:
         # The parent is a bookkeeping record: it owns the ROB entry and the
         # produced value, but never enters an issue queue itself.
         self._dyn_counter += 1
-        produces_value = uop.has_dest or uop.writes_flags
+        info = uop.info
+        produces_value = uop.has_dest or info.writes_flags
         parent = _DynUop(
             dyn_id=self._dyn_counter, kind="trace", seq=fetched.seq,
             domain=cluster, opcode=uop.opcode, uop=uop,
@@ -1201,12 +1204,12 @@ class HelperClusterSimulator:
         parent.in_rob = True
         self.result.activity.rob_ops += 1
         self.result.activity.rename_ops += 1
-        if uop.is_memory:
-            self.mob.allocate(uop.uid, fetched.seq, uop.is_store, uop.mem_addr,
+        if info.is_memory:
+            self.mob.allocate(uop.uid, fetched.seq, info.is_store, uop.mem_addr,
                               uop.mem_size)
         if uop.has_dest:
             self.rename.allocate(uop.dest, uop.uid, cluster, False)
-        if uop.writes_flags:
+        if info.writes_flags:
             self.rename.allocate(ArchReg.FLAGS, uop.uid, cluster, True)
 
         # Source dependences are attached to the least-significant chunk; the

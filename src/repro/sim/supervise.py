@@ -36,7 +36,7 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.faultkit import FaultPlan, maybe_inject
 

@@ -13,10 +13,12 @@ traces between machines.  Two formats:
   is a digest-checked pickle used by the engine's cross-job trace store
   (:mod:`repro.trace.store`), where load speed matters more than
   diff-ability: a worker re-hydrating a 30k-uop trace pays a single pickle
-  load instead of re-deriving 30k uops.  A binary entry is
+  load instead of re-running the generator.  A binary entry is
   ``<header JSON line>\\n<pickled Trace payload>``; the header records the
   format version and a SHA-256 digest of the payload, so corrupted or
-  truncated files are detected and rejected on load.
+  truncated files are detected and rejected on load.  Each uop pickles as
+  its constructor fields only (``MicroOp.__reduce__``), so the facts a
+  MicroOp derives at construction are re-derived on load, never stored.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import hashlib
 import json
 import pickle
 from pathlib import Path
-from typing import IO, Iterator, Optional, Union
+from typing import IO, Iterator, Union
 
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import ArchReg
@@ -36,8 +38,9 @@ from repro.trace.trace import Trace
 #: Format identifier written to the header line.
 FORMAT_VERSION = 1
 
-#: Binary (pickle) format identifier; bump when the entry layout changes.
-BINARY_FORMAT_VERSION = 1
+#: Binary (pickle) format identifier; bump when the entry layout changes
+#: (2: each MicroOp pickles positionally over its constructor fields).
+BINARY_FORMAT_VERSION = 2
 
 _PathLike = Union[str, Path]
 

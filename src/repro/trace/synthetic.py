@@ -28,12 +28,12 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.isa.opcodes import Opcode, execute, opcode_info
 from repro.isa.registers import ArchReg, RegisterFile
 from repro.isa.uop import MicroOp
-from repro.isa.values import MACHINE_WIDTH, NARROW_WIDTH, is_narrow, truncate
+from repro.isa.values import MACHINE_WIDTH, NARROW_WIDTH, truncate
 from repro.trace.profiles import BenchmarkProfile
 from repro.trace.trace import Trace
 

@@ -8,11 +8,11 @@ analyses need (benchmark name, generator seed, static code footprint).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.isa.opcodes import OpClass
 from repro.isa.uop import MicroOp
-from repro.isa.values import NARROW_WIDTH, is_narrow
+from repro.isa.values import NARROW_WIDTH
 
 
 @dataclass
@@ -89,21 +89,22 @@ class Trace:
         """Compute aggregate statistics in one pass over the trace."""
         stats = TraceStats(num_uops=len(self.uops))
         for uop in self.uops:
-            cls = uop.op_class
+            info = uop.info
+            cls = info.op_class
             stats.class_counts[cls] = stats.class_counts.get(cls, 0) + 1
-            if uop.result_value is not None and is_narrow(uop.result_value, narrow_width):
+            if uop.result_value is not None and uop.result_width <= narrow_width:
                 stats.narrow_result_count += 1
-            if uop.src_values and uop.all_sources_narrow(narrow_width):
+            if uop.src_values and uop.src_width <= narrow_width:
                 stats.narrow_all_source_count += 1
-            if uop.is_cond_branch:
+            if info.is_cond_branch:
                 stats.cond_branch_count += 1
                 if uop.is_taken:
                     stats.taken_branch_count += 1
-            if uop.is_load:
+            if info.is_load:
                 stats.load_count += 1
                 if uop.mem_size == 1:
                     stats.byte_load_count += 1
-            if uop.is_store:
+            if info.is_store:
                 stats.store_count += 1
         return stats
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from repro.trace.profiles import BenchmarkProfile, InstructionMix

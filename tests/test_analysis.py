@@ -1,5 +1,7 @@
 """Tests for the trace characterisation analyses (Figures 1, 11, 13)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.carry import analyze_carry, carry_fractions, carry_not_propagated
@@ -22,11 +24,13 @@ def _chain_trace():
     builder = UopBuilder()
     trace = Trace(name="chain")
     producer = builder.alu(Opcode.MOVI, ArchReg.EAX, (), imm=5).with_values([], 5)
-    consumer = builder.alu(Opcode.ADD, ArchReg.EBX, (ArchReg.EAX,)).with_values([5], 6)
-    consumer.producer_uids = (producer.uid,)
+    consumer = replace(
+        builder.alu(Opcode.ADD, ArchReg.EBX, (ArchReg.EAX,)).with_values([5], 6),
+        producer_uids=(producer.uid,))
     wide_prod = builder.alu(Opcode.MOVI, ArchReg.ECX, (), imm=0x10000).with_values([], 0x10000)
-    wide_cons = builder.alu(Opcode.ADD, ArchReg.EDX, (ArchReg.ECX,)).with_values([0x10000], 0x10001)
-    wide_cons.producer_uids = (wide_prod.uid,)
+    wide_cons = replace(
+        builder.alu(Opcode.ADD, ArchReg.EDX, (ArchReg.ECX,)).with_values([0x10000], 0x10001),
+        producer_uids=(wide_prod.uid,))
     trace.uops.extend([producer, consumer, wide_prod, wide_cons])
     return trace
 
@@ -114,10 +118,10 @@ class TestDistance:
         builder = UopBuilder()
         trace = Trace(name="fanout")
         producer = builder.alu(Opcode.MOVI, ArchReg.EAX, (), imm=1).with_values([], 1)
-        c1 = builder.alu(Opcode.ADD, ArchReg.EBX, (ArchReg.EAX,)).with_values([1], 2)
-        c1.producer_uids = (producer.uid,)
-        c2 = builder.alu(Opcode.ADD, ArchReg.ECX, (ArchReg.EAX,)).with_values([1], 2)
-        c2.producer_uids = (producer.uid,)
+        c1 = replace(builder.alu(Opcode.ADD, ArchReg.EBX, (ArchReg.EAX,)).with_values([1], 2),
+                     producer_uids=(producer.uid,))
+        c2 = replace(builder.alu(Opcode.ADD, ArchReg.ECX, (ArchReg.EAX,)).with_values([1], 2),
+                     producer_uids=(producer.uid,))
         trace.uops.extend([producer, c1, c2])
         first_only = producer_consumer_distance(trace, first_consumer_only=True)
         all_pairs = producer_consumer_distance(trace, first_consumer_only=False)

@@ -5,6 +5,8 @@ workload-suite end-to-end flow, simulation of hand-built (non-generator)
 traces, and robustness to degenerate configurations.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import quick_speedup
@@ -28,13 +30,17 @@ def _hand_built_trace(n_iterations=40):
     last = {reg: None for reg in ArchReg}
 
     def emit(uop, result=None, flags=None, srcs_vals=()):
-        uop = uop.with_values(srcs_vals, result, flags)
-        uop.producer_uids = tuple(last.get(reg) for reg in uop.srcs)
-        uop.flags_producer_uid = last[ArchReg.FLAGS] if uop.reads_flags else None
+        # Producer links go through the constructor, so the uop's derived
+        # effective_producers see them.
+        uop = replace(
+            uop.with_values(srcs_vals, result, flags),
+            producer_uids=tuple(last.get(reg) for reg in uop.srcs),
+            flags_producer_uid=(last[ArchReg.FLAGS] if uop.info.reads_flags
+                                else None))
         trace.uops.append(uop)
         if uop.has_dest:
             last[uop.dest] = uop.uid
-        if uop.writes_flags:
+        if uop.info.writes_flags:
             last[ArchReg.FLAGS] = uop.uid
         return uop
 

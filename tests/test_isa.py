@@ -1,5 +1,8 @@
 """Tests for registers, opcodes (semantics) and the MicroOp record."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,8 +15,8 @@ from repro.isa.opcodes import (
     opcode_info,
 )
 from repro.isa.registers import ArchReg, Flags, GPR_REGS, NUM_ARCH_REGS, RegisterFile
-from repro.isa.uop import MicroOp, UopBuilder
-from repro.isa.values import WIDE_MASK, truncate
+from repro.isa.uop import MicroOp, UopBuilder, cr_carry_crosses, cr_operated_narrow
+from repro.isa.values import NARROW_WIDTH, WIDE_MASK, is_narrow, truncate
 
 u32 = st.integers(min_value=0, max_value=WIDE_MASK)
 
@@ -184,49 +187,101 @@ class TestMicroOp:
         load = builder.load(ArchReg.EAX, ArchReg.ESI, ArchReg.ECX, byte=True)
         assert load.opcode is Opcode.LOADB
         assert load.mem_size == 1
-        assert load.is_load
+        assert load.info.is_load
 
     def test_store_shorthand(self):
         builder = UopBuilder()
         store = builder.store(ArchReg.EAX, ArchReg.ESI, ArchReg.ECX)
-        assert store.is_store and not store.has_dest
+        assert store.info.is_store and not store.has_dest
 
     def test_branch_shorthand(self):
         builder = UopBuilder()
         br = builder.branch(conditional=True, taken=True)
-        assert br.is_cond_branch and br.reads_flags and br.is_taken
+        assert br.info.is_cond_branch and br.info.reads_flags and br.is_taken
         jmp = builder.branch(conditional=False)
-        assert jmp.is_branch and not jmp.is_cond_branch
+        assert jmp.info.is_branch and not jmp.info.is_cond_branch
 
     def test_width_helpers(self):
         builder = UopBuilder()
         uop = builder.alu(Opcode.ADD, ArchReg.EAX, (ArchReg.EBX, ArchReg.ECX))
         uop = uop.with_values([3, 5], 8)
-        assert uop.all_sources_narrow()
-        assert uop.result_is_narrow()
-        assert uop.is_fully_narrow()
+        assert (uop.src_width, uop.imm_width, uop.result_width) == (3, 1, 4)
+        # The 8-8-8 oracle (§3.2): all sources and the result narrow.
+        assert uop.src_width <= NARROW_WIDTH and uop.result_width <= NARROW_WIDTH
 
     def test_wide_source_detection(self):
         builder = UopBuilder()
         uop = builder.alu(Opcode.ADD, ArchReg.EAX, (ArchReg.EBX, ArchReg.ECX))
         uop = uop.with_values([3, 0x10000], 0x10003)
-        assert not uop.all_sources_narrow()
-        assert not uop.result_is_narrow()
-        assert uop.src_is_narrow(0)
-        assert not uop.src_is_narrow(1)
+        assert uop.src_width > NARROW_WIDTH
+        assert uop.result_width > NARROW_WIDTH
+        assert is_narrow(uop.src_values[0])
+        assert not is_narrow(uop.src_values[1])
 
     def test_wide_immediate_blocks_narrowness(self):
         builder = UopBuilder()
         uop = builder.alu(Opcode.ADD, ArchReg.EAX, (ArchReg.EBX,), imm=0x12345)
         uop = uop.with_values([1], 0x12346)
-        assert not uop.all_sources_narrow()
+        assert uop.imm_width > NARROW_WIDTH
+        assert uop.src_width > NARROW_WIDTH
 
     def test_latency_from_info(self):
         builder = UopBuilder()
-        assert builder.make(Opcode.DIV, dest=ArchReg.EAX).latency == 20
+        assert builder.make(Opcode.DIV, dest=ArchReg.EAX).info.latency == 20
 
     def test_class_predicates(self):
         builder = UopBuilder()
-        assert builder.make(Opcode.FADD, dest=ArchReg.TMP3).is_fp
-        assert builder.make(Opcode.COPY, dest=ArchReg.EAX).is_copy
-        assert builder.make(Opcode.ADD, dest=ArchReg.EAX).op_class is OpClass.ALU
+        assert builder.make(Opcode.FADD, dest=ArchReg.TMP3).info.op_class is OpClass.FP
+        assert builder.make(Opcode.COPY, dest=ArchReg.EAX).info.op_class is OpClass.COPY
+        assert builder.make(Opcode.ADD, dest=ArchReg.EAX).info.op_class is OpClass.ALU
+
+    def test_opcode_class_predicates_follow_op_class(self):
+        for info in OPCODE_INFO.values():
+            assert info.is_load == (info.op_class is OpClass.LOAD)
+            assert info.is_store == (info.op_class is OpClass.STORE)
+            assert info.is_branch == (info.op_class in (OpClass.BRANCH, OpClass.JUMP))
+            assert info.is_cond_branch == (info.op_class is OpClass.BRANCH)
+
+    def test_no_instance_dict(self):
+        # Facts are derived into slots at construction; with no __dict__ a
+        # per-uop memo has nowhere to live.
+        uop = UopBuilder().alu(Opcode.ADD, ArchReg.EAX, (ArchReg.EBX,))
+        assert "__slots__" in vars(MicroOp)
+        assert not hasattr(uop, "__dict__")
+        with pytest.raises(AttributeError):
+            uop._memo = 1
+
+    def test_effective_producers_follow_the_constructor(self):
+        builder = UopBuilder()
+        br = replace(builder.branch(conditional=True),
+                     producer_uids=(), flags_producer_uid=7)
+        assert br.effective_producers == (7,)  # FLAGS source slot uncovered
+        linked = replace(br, producer_uids=(5,))
+        assert linked.effective_producers == (5,)  # slot covered by its producer
+        live_in = replace(builder.alu(Opcode.ADD, ArchReg.EAX, (ArchReg.EBX, ArchReg.ECX)),
+                          producer_uids=(None, 3))
+        assert live_in.effective_producers == (3,)
+
+    def test_pickle_rederives_facts(self):
+        uop = replace(UopBuilder().alu(Opcode.ADD, ArchReg.EAX, (ArchReg.EBX,), imm=0x1234)
+                      .with_values([0x10000], 0x11234), producer_uids=(2,))
+        loaded = pickle.loads(pickle.dumps(uop, protocol=pickle.HIGHEST_PROTOCOL))
+        assert loaded == uop
+        derived = ("info", "has_dest", "effective_producers",
+                   "src_width", "imm_width", "result_width")
+        assert ([getattr(loaded, name) for name in derived]
+                == [getattr(uop, name) for name in derived])
+
+    def test_cr_oracles(self):
+        builder = UopBuilder()
+        load = builder.load(ArchReg.EAX, ArchReg.ESI, ArchReg.ECX)
+        no_carry = load.with_values([0x08000000, 0x10], 0x5)
+        assert not cr_carry_crosses(no_carry, 8)
+        assert cr_operated_narrow(no_carry, 8)
+        carry = load.with_values([0x080000F0, 0x20], 0x5)
+        assert cr_carry_crosses(carry, 8)
+        assert not cr_operated_narrow(carry, 8)
+        both_narrow = load.with_values([0x10, 0x20], 0x5)
+        assert not cr_operated_narrow(both_narrow, 8)
+        both_wide = load.with_values([0x08000000, 0x10000], 0x5)
+        assert not cr_operated_narrow(both_wide, 8)

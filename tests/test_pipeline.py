@@ -404,7 +404,7 @@ class TestFrontend:
             if frontend.exhausted:
                 break
             for fetched in frontend.fetch(cycle):
-                if fetched.uop.is_cond_branch:
+                if fetched.uop.info.is_cond_branch:
                     branches += 1
                     resolved += fetched.target_resolved_in_frontend
         assert branches > 0

@@ -152,7 +152,10 @@ class TestParallelSupervision:
 
     def test_parallel_equals_serial_under_chaos(self, truth):
         """serial == parallel == fault-free, all three ways at once."""
-        plan = FaultPlan(seed=11, crash=0.15, transient=0.25, slow=0.2,
+        # Seed 20 fires every kind on a first attempt and nothing on a
+        # retry: gcc:baseline crashes, gcc:ir raises a transient error,
+        # gzip:baseline and gzip:ir run slow.
+        plan = FaultPlan(seed=20, crash=0.15, transient=0.25, slow=0.2,
                          slow_delay=0.01, backoff=0.01)
         jobs = _jobs([("gcc", "baseline"), ("gcc", "ir"),
                       ("gzip", "baseline"), ("gzip", "ir")])
@@ -161,6 +164,9 @@ class TestParallelSupervision:
         with SweepEngine(jobs=2, allow_oversubscribe=True, supervisor=FAST,
                          faults=plan) as engine:
             parallel = _fingerprint(engine.run_jobs(jobs))
+            assert engine.report.worker_deaths > 0, \
+                "plan seed must actually kill at least one worker"
+            assert engine.report.retries > 0
         assert serial == truth
         assert parallel == truth
 

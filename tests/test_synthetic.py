@@ -59,12 +59,12 @@ class TestStructure:
 
     def test_memory_uops_have_addresses(self, gcc_trace_small):
         for uop in gcc_trace_small.uops:
-            if uop.op_class in (OpClass.LOAD, OpClass.STORE):
+            if uop.info.op_class in (OpClass.LOAD, OpClass.STORE):
                 assert uop.mem_addr is not None
 
     def test_cond_branches_read_flags(self, gcc_trace_small):
         for uop in gcc_trace_small.uops:
-            if uop.is_cond_branch:
+            if uop.info.is_cond_branch:
                 assert uop.flags_producer_uid is not None or uop.srcs
 
 
@@ -99,7 +99,7 @@ class TestDataflowConsistency:
                 assert last_writer.get(reg) == producer
             if uop.has_dest:
                 last_writer[uop.dest] = uop.uid
-            if uop.writes_flags:
+            if uop.info.writes_flags:
                 from repro.isa.registers import ArchReg
                 last_writer[ArchReg.FLAGS] = uop.uid
 

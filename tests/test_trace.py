@@ -1,5 +1,7 @@
 """Tests for the trace container, profiles, slicing and the workload suite."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.isa.opcodes import OpClass, Opcode
@@ -29,8 +31,7 @@ def _toy_trace(n=10):
     prev_uid = None
     for i in range(n):
         uop = builder.alu(Opcode.ADD, ArchReg.EAX, (ArchReg.EAX,), pc=0x1000 + 4 * i)
-        uop = uop.with_values([i], i + 1)
-        uop.producer_uids = (prev_uid,)
+        uop = replace(uop.with_values([i], i + 1), producer_uids=(prev_uid,))
         trace.uops.append(uop)
         prev_uid = uop.uid
     return trace
@@ -57,13 +58,13 @@ class TestTraceContainer:
 
     def test_validate_rejects_forward_reference(self):
         trace = _toy_trace(3)
-        trace.uops[0].producer_uids = (99,)
+        trace.uops[0] = replace(trace.uops[0], producer_uids=(99,))
         with pytest.raises(ValueError):
             trace.validate()
 
     def test_validate_rejects_duplicate_uids(self):
         trace = _toy_trace(3)
-        trace.uops[2].uid = trace.uops[1].uid
+        trace.uops[2] = replace(trace.uops[2], uid=trace.uops[1].uid)
         with pytest.raises(ValueError):
             trace.validate()
 

@@ -13,8 +13,11 @@ import pickle
 
 import pytest
 
+from repro.core.config import helper_cluster_config
+from repro.core.steering import make_policy
 from repro.sim import engine as engine_mod
 from repro.sim.engine import SweepEngine, SweepJob, trace_for_job
+from repro.sim.simulator import simulate
 from repro.trace.profiles import get_profile
 from repro.trace.serialization import load_trace_binary, save_trace_binary
 from repro.trace.store import TraceStore, trace_key
@@ -152,16 +155,22 @@ class TestTraceStore:
         # The memo is process-global while stores are per-engine: a memo
         # hit must still seed the *current* store, or spawn-started workers
         # of a second engine would regenerate the trace.
+        # Simulating the memoised trace in between must not change what
+        # reaches the second store: a simulation never writes to a trace.
         profile = get_profile("gcc")
         job = SweepJob("gcc", "n888", 700, 11)
         store_a = TraceStore(tmp_path / "a")
-        trace_for_job(job, profile, store_a)
+        trace = trace_for_job(job, profile, store_a)
+        simulate(trace, config=helper_cluster_config(), policy=make_policy("ir"))
         before = GENERATION_STATS.count
         store_b = TraceStore(tmp_path / "b")
         trace_for_job(job, profile, store_b)
         assert GENERATION_STATS.count == before
         assert store_b.stores == 1
-        assert store_b.path_for(trace_key(profile, 700, 11, False)).exists()
+        key = trace_key(profile, 700, 11, False)
+        assert store_b.path_for(key).exists()
+        assert (store_b.path_for(key).read_bytes()
+                == store_a.path_for(key).read_bytes())
 
     def test_disabled_store_never_touches_disk(self, tmp_path):
         store = TraceStore(tmp_path / "never", enabled=False)

@@ -82,6 +82,12 @@ class TestLeadingDetectors:
         assert leading_one_count(truncate(-5)) >= 24
 
     @given(u32)
+    def test_value_width_is_the_detector_view(self, value):
+        # value_width is the machine width minus the longer leading run.
+        redundant = max(leading_zero_count(value), leading_one_count(value))
+        assert value_width(value) == max(1, MACHINE_WIDTH - redundant)
+
+    @given(u32)
     def test_detector_counts_complementary(self, value):
         # At most one of the two detectors can report a nonzero count.
         lz = leading_zero_count(value)
@@ -123,10 +129,14 @@ class TestNarrowness:
     @given(u32)
     def test_value_width_consistent_with_is_narrow(self, value):
         # A value is narrow exactly when its two's complement width fits in
-        # NARROW_WIDTH bits (allowing the unsigned 0..255 range as well).
+        # the narrow width (allowing the unsigned 0..2**w-1 range as well).
+        # MicroOp stores widths and turns every narrowness oracle into this
+        # integer compare, so it must hold at every datapath width.
         width = value_width(value)
         if width <= NARROW_WIDTH:
             assert is_narrow(value)
+        for narrow_width in range(1, MACHINE_WIDTH + 1):
+            assert is_narrow(value, narrow_width) == (width <= narrow_width)
 
 
 class TestCarry:

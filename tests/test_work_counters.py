@@ -43,8 +43,8 @@ from repro.trace.synthetic import generate_trace
 
 #: job -> (committed_uops, fast_cycles, event-wheel iterations, repo calls)
 EXPECTED = {
-    "paper_ir": (4754, 9411, 3768, 352_117),
-    "mix_ir_wa": (4754, 9540, 3848, 432_346),
+    "paper_ir": (4754, 9411, 3768, 274_775),
+    "mix_ir_wa": (4754, 9540, 3848, 315_492),
 }
 
 _PACKAGE_DIR = os.path.realpath(Path(repro.__file__).parent) + os.sep
