@@ -93,7 +93,7 @@ class RegisterFile:
 
     def write(self, reg: ArchReg, value: int) -> None:
         """Write a register, truncating to the register file's width."""
-        self._values[ArchReg(reg)] = truncate(value, self.width)
+        self._values[reg] = truncate(value, self.width)
 
     def snapshot(self) -> Dict[ArchReg, int]:
         """Return a copy of the current architectural state."""

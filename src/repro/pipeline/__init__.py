@@ -3,19 +3,18 @@
 These modules model the backend structures of the Pentium-4-like clustered
 processor of §2: the two clock domains (§2.2), the rename stage with its
 width table (§3.2) and CR reference counters (§3.5), per-cluster issue queues
-and functional units, the reorder buffer, the shared memory order buffer, the
-frontend fetch/decode machinery, and the flushing recovery mechanism used on
-fatal width mispredictions.
+and functional units, the reorder buffer, the shared memory order buffer and
+the frontend fetch/decode machinery.  Flushing recovery on fatal width
+mispredictions is part of the simulator (:mod:`repro.sim.simulator`).
 """
 
 from repro.pipeline.clocking import ClockDomain, ClockingModel
 from repro.pipeline.rename import RenameTable, RenameEntry
-from repro.pipeline.rob import ReorderBuffer, ROBEntry
-from repro.pipeline.scheduler import IssueQueue, IssueQueueEntry
+from repro.pipeline.rob import ReorderBuffer
+from repro.pipeline.scheduler import IssueQueue
 from repro.pipeline.execute import ExecutionUnitPool, FU_LATENCY
 from repro.pipeline.mob import MemoryOrderBuffer
 from repro.pipeline.frontend import Frontend, FetchedUop
-from repro.pipeline.recovery import RecoveryManager, RecoveryEvent
 
 __all__ = [
     "ClockDomain",
@@ -23,14 +22,10 @@ __all__ = [
     "RenameTable",
     "RenameEntry",
     "ReorderBuffer",
-    "ROBEntry",
     "IssueQueue",
-    "IssueQueueEntry",
     "ExecutionUnitPool",
     "FU_LATENCY",
     "MemoryOrderBuffer",
     "Frontend",
     "FetchedUop",
-    "RecoveryManager",
-    "RecoveryEvent",
 ]

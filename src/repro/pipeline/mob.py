@@ -7,24 +7,14 @@ clusters because the memory access itself is not cluster-private.
 The model tracks in-flight loads and stores, enforces a simple capacity
 limit, and provides store-to-load forwarding detection so the simulator can
 short-circuit the DL0 latency when a load hits a pending store to the same
-address (a minor effect, but it keeps the structure honest).
+address (a minor effect, but it keeps the structure honest).  A load is kept
+as its uid alone (capacity and release); a store as its sequence number and
+address, which forwarding reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-
-@dataclass
-class MOBEntry:
-    """One in-flight memory operation."""
-
-    uid: int
-    seq: int
-    is_store: bool
-    addr: Optional[int]
-    size: int = 4
+from typing import Dict, Optional, Set, Tuple
 
 
 class MemoryOrderBuffer:
@@ -35,11 +25,9 @@ class MemoryOrderBuffer:
             raise ValueError("MOB capacities must be positive")
         self.load_capacity = load_entries
         self.store_capacity = store_entries
-        self._loads: Dict[int, MOBEntry] = {}
-        self._stores: Dict[int, MOBEntry] = {}
-        self.forwarded = 0
-        self.load_allocations = 0
-        self.store_allocations = 0
+        self._loads: Set[int] = set()
+        #: store uid -> (seq, address)
+        self._stores: Dict[int, Tuple[int, Optional[int]]] = {}
 
     # --------------------------------------------------------------- capacity
     def can_allocate(self, is_store: bool) -> bool:
@@ -47,57 +35,31 @@ class MemoryOrderBuffer:
             return len(self._stores) < self.store_capacity
         return len(self._loads) < self.load_capacity
 
-    def allocate(self, uid: int, seq: int, is_store: bool, addr: Optional[int],
-                 size: int = 4) -> MOBEntry:
+    def allocate(self, uid: int, seq: int, is_store: bool,
+                 addr: Optional[int]) -> None:
         """Allocate an entry at dispatch.  Raises when the queue is full."""
         if not self.can_allocate(is_store):
             raise RuntimeError("MOB full")
-        entry = MOBEntry(uid=uid, seq=seq, is_store=is_store, addr=addr, size=size)
         if is_store:
-            self._stores[uid] = entry
-            self.store_allocations += 1
+            self._stores[uid] = (seq, addr)
         else:
-            self._loads[uid] = entry
-            self.load_allocations += 1
-        return entry
+            self._loads.add(uid)
 
     def release(self, uid: int) -> None:
         """Free the entry at commit (or squash)."""
-        self._loads.pop(uid, None)
+        self._loads.discard(uid)
         self._stores.pop(uid, None)
 
     # ------------------------------------------------------------- forwarding
-    def forwarding_store(self, load_seq: int, addr: Optional[int]) -> Optional[MOBEntry]:
-        """Return the youngest older store to the same address, if any."""
+    def forwarding_store(self, load_seq: int, addr: Optional[int]) -> Optional[int]:
+        """Return the uid of the youngest older store to the same address,
+        if any."""
         if addr is None:
             return None
-        best: Optional[MOBEntry] = None
-        for store in self._stores.values():
-            if store.addr == addr and store.seq < load_seq:
-                if best is None or store.seq > best.seq:
-                    best = store
-        if best is not None:
-            self.forwarded += 1
+        best: Optional[int] = None
+        best_seq = 0
+        for uid, (seq, store_addr) in self._stores.items():
+            if (store_addr == addr and seq < load_seq
+                    and (best is None or seq > best_seq)):
+                best, best_seq = uid, seq
         return best
-
-    # ----------------------------------------------------------------- status
-    def load_occupancy(self) -> int:
-        return len(self._loads)
-
-    def store_occupancy(self) -> int:
-        return len(self._stores)
-
-    def flush_from(self, seq: int) -> List[int]:
-        """Drop all entries with sequence number >= ``seq``; returns their uids."""
-        squashed = [uid for uid, e in list(self._loads.items()) if e.seq >= seq]
-        squashed += [uid for uid, e in list(self._stores.items()) if e.seq >= seq]
-        for uid in squashed:
-            self.release(uid)
-        return squashed
-
-    def reset(self) -> None:
-        self._loads.clear()
-        self._stores.clear()
-        self.forwarded = 0
-        self.load_allocations = 0
-        self.store_allocations = 0

@@ -3,24 +3,23 @@
 The ROB bounds the number of in-flight uops and retires them in program order
 at up to ``commit_width`` per wide-cluster cycle.  Commit happens in the wide
 clock domain regardless of which cluster executed the uop.
+
+The ROB holds the simulator's own records, each under the uid of the trace
+uop it stands for, and reads only the fields of :class:`ROBRecord`: a record
+is retirable once the simulator sets its ``completed`` flag.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Protocol
 
 
-@dataclass(slots=True)
-class ROBEntry:
-    """One reorder-buffer entry."""
+class ROBRecord(Protocol):
+    """The fields of an in-flight operation the ROB reads."""
 
-    uid: int
-    seq: int
-    completed: bool = False
-    squashed: bool = False
-    payload: object = None
+    seq: int              # program order; allocations must be increasing
+    completed: bool       # retirable once set
 
 
 class ReorderBuffer:
@@ -31,85 +30,49 @@ class ReorderBuffer:
             raise ValueError("ROB size and commit width must be positive")
         self.size = size
         self.commit_width = commit_width
-        self._entries: Deque[ROBEntry] = deque()
-        self._by_uid: Dict[int, ROBEntry] = {}
-        #: Public live view of the uid index, mapping uid -> entry (the
-        #: simulator resolves producer clusters per source operand through
-        #: it, reading the entry's ``payload`` / ``seq``).  Aliases the
-        #: internal dict for the buffer's lifetime — mutate only through the
-        #: buffer's methods.
-        self.by_uid = self._by_uid
-        self.committed = 0
+        #: uids in program order (the head is ``[0]``)
+        self._order: Deque[int] = deque()
+        #: Public live view mapping uid -> record, in program order.  The
+        #: simulator resolves producer clusters and sequence numbers through
+        #: it and marks a re-executed uop's original record completed.  Only
+        #: the buffer's methods add or remove keys.
+        self.by_uid: Dict[int, ROBRecord] = {}
 
     # --------------------------------------------------------------- capacity
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def free_slots(self) -> int:
-        return self.size - len(self._entries)
+        return len(self._order)
 
     def is_full(self) -> bool:
-        return len(self._entries) >= self.size
+        return len(self._order) >= self.size
 
     def is_empty(self) -> bool:
-        return not self._entries
+        return not self._order
 
     # ---------------------------------------------------------------- allocate
-    def allocate(self, uid: int, seq: int, payload: object = None) -> ROBEntry:
-        """Allocate an entry at the tail.  Raises if the ROB is full."""
-        entries = self._entries
-        if len(entries) >= self.size:
-            raise RuntimeError("ROB full")
-        if entries and seq <= entries[-1].seq:
-            raise ValueError("ROB allocations must be in program order")
-        entry = ROBEntry(uid=uid, seq=seq, payload=payload)
-        entries.append(entry)
-        self._by_uid[uid] = entry
-        return entry
+    def allocate(self, uid: int, record: ROBRecord) -> None:
+        """Allocate ``record`` at the tail under ``uid``.
 
-    # ---------------------------------------------------------------- complete
-    def mark_completed(self, uid: int) -> None:
-        entry = self._by_uid.get(uid)
-        if entry is not None:
-            entry.completed = True
-
-    def mark_squashed(self, uid: int) -> None:
-        """Squashed entries still occupy their slot until commit drains them.
-
-        The flushing recovery re-executes the squashed work in the wide
-        cluster under a new uid; the original entry is retired as a bubble.
+        Raises if the ROB is full or ``record`` is not younger than the tail.
         """
-        entry = self._by_uid.get(uid)
-        if entry is not None:
-            entry.squashed = True
-            entry.completed = True
+        order = self._order
+        if len(order) >= self.size:
+            raise RuntimeError("ROB full")
+        if order and record.seq <= self.by_uid[order[-1]].seq:
+            raise ValueError("ROB allocations must be in program order")
+        order.append(uid)
+        self.by_uid[uid] = record
 
     # ------------------------------------------------------------------ commit
-    def commit(self) -> List[ROBEntry]:
-        """Retire up to ``commit_width`` completed entries from the head."""
-        entries = self._entries
-        if not entries or not entries[0].completed:
-            return []
-        by_uid = self._by_uid
-        retired: List[ROBEntry] = []
-        width = self.commit_width
-        while entries and entries[0].completed and len(retired) < width:
-            head = entries.popleft()
-            del by_uid[head.uid]
-            retired.append(head)
-            if not head.squashed:
-                self.committed += 1
+    def commit(self) -> List[ROBRecord]:
+        """Retire and return up to ``commit_width`` completed records from
+        the head."""
+        order = self._order
+        by_uid = self.by_uid
+        retired: List[ROBRecord] = []
+        while order and len(retired) < self.commit_width:
+            record = by_uid[order[0]]
+            if not record.completed:
+                break
+            del by_uid[order.popleft()]
+            retired.append(record)
         return retired
-
-    def head_seq(self) -> Optional[int]:
-        """Sequence number of the oldest in-flight uop (None when empty)."""
-        return self._entries[0].seq if self._entries else None
-
-    def occupancy(self) -> int:
-        return len(self._entries)
-
-    def reset(self) -> None:
-        self._entries.clear()
-        self._by_uid.clear()
-        self.committed = 0

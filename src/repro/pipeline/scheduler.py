@@ -6,12 +6,14 @@ selected oldest-first up to the issue width (select).  The helper cluster's
 queue is identical in structure but is clocked at the fast frequency, so it
 gets a select opportunity every fast cycle.
 
-The queue maintains an explicit *ready set* so the simulator's inner loop
-never scans the whole scheduler: ``ready_count`` is O(1) and ``select`` only
-orders the entries that are actually ready.  Selection order is identical to
-a stable oldest-first sort over the whole queue: ties on the sequence number
-are broken by dispatch (insertion) order, tracked with a monotonically
-increasing counter.
+The queue holds the simulator's own in-flight records, keyed by ``dyn_id``;
+it reads and writes only the fields of :class:`QueueRecord`, so tests can
+drive it with any plain record that has them.  It maintains an explicit
+*ready set* so the simulator's inner loop never scans the whole scheduler:
+``select`` only orders the entries that are actually ready.  Selection order
+is identical to a stable oldest-first sort over the whole queue: ties on the
+sequence number are broken by dispatch (insertion) order, tracked with a
+monotonically increasing counter.
 
 The issue queue also exposes the occupancy and ready-but-not-issued counts
 that the NREADY load-imbalance metric (§3.7) and the IR splitting heuristic
@@ -20,27 +22,20 @@ consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Protocol
 
 
-@dataclass(slots=True)
-class IssueQueueEntry:
-    """One scheduler entry."""
+class QueueRecord(Protocol):
+    """The fields of an in-flight operation the issue queue reads or writes."""
 
-    uid: int
+    dyn_id: int                   # the queue's key
     seq: int                      # program order sequence number (age)
     remaining_sources: int        # outstanding source operands
-    is_memory: bool = False
-    payload: object = None        # opaque reference back to the simulator's record
-    #: dispatch-order stamp assigned by :meth:`IssueQueue.insert`; breaks seq
-    #: ties the way a stable sort over the insertion-ordered entry dict used to
-    order: int = 0
-
-    @property
-    def ready(self) -> bool:
-        return self.remaining_sources == 0
+    is_memory: bool               # counts against the DL0-port budget
+    #: dispatch-order stamp written by :meth:`IssueQueue.insert`; breaks seq
+    #: ties the way a stable sort over the insertion-ordered queue would
+    order: int
 
 
 #: Oldest-first selection key: program order, then dispatch order on ties.
@@ -55,19 +50,19 @@ class IssueQueue:
             raise ValueError("issue queue size and width must be positive")
         self.size = size
         self.issue_width = issue_width
-        self._entries: Dict[int, IssueQueueEntry] = {}
-        #: dispatch-order counter; stamped onto entries at insert
+        self._entries: Dict[int, QueueRecord] = {}
+        #: dispatch-order counter; stamped onto records at insert
         self._order_counter = 0
-        #: uid -> entry for entries with no outstanding sources
-        self._ready: Dict[int, IssueQueueEntry] = {}
+        #: dyn_id -> record for records with no outstanding sources
+        self._ready: Dict[int, QueueRecord] = {}
         #: Public *live views* of the queue state, part of the hot-path
         #: contract: the simulator's event wheel reads these dicts directly
         #: (occupancy = len(entries), readiness = bool(ready_entries)) instead
-        #: of paying a method call per cycle, and its wakeup path decrements
-        #: ``remaining_sources`` in place.  They map uid -> entry and alias
-        #: the internal dicts for the queue's whole lifetime — mutate only
-        #: through the queue's methods (or the documented wake sequence in
-        #: :mod:`repro.sim.simulator`).
+        #: of paying a method call per cycle.  They map dyn_id -> record and
+        #: alias the internal dicts for the queue's whole lifetime.  Besides
+        #: the queue's methods, only the simulator's wake step mutates them:
+        #: for a resident record it decrements ``remaining_sources`` and, at
+        #: zero, adds the record to ``ready_entries``.
         self.entries = self._entries
         self.ready_entries = self._ready
         # Statistics for imbalance measurement.
@@ -86,13 +81,10 @@ class IssueQueue:
     def is_full(self) -> bool:
         return len(self._entries) >= self.size
 
-    def __contains__(self, uid: int) -> bool:
-        return uid in self._entries
-
     # ----------------------------------------------------------------- insert
     # hot-path
-    def insert(self, entry: IssueQueueEntry, force: bool = False) -> None:
-        """Dispatch an entry into the queue.
+    def insert(self, record: QueueRecord, force: bool = False) -> None:
+        """Dispatch a record into the queue.
 
         Raises if the queue is full unless ``force`` is set.  Forced inserts
         are reserved for flushing-recovery re-dispatch, which must make
@@ -103,92 +95,67 @@ class IssueQueue:
         entries = self._entries
         if len(entries) >= self.size and not force:
             raise RuntimeError("issue queue full")
-        uid = entry.uid
-        if uid in entries:
+        key = record.dyn_id
+        if key in entries:
             raise ValueError(
-                f"uid {uid} already in issue queue")  # lint: disable=REP004(raise-only path: the f-string is built only when the duplicate-uid invariant is already broken)
-        entries[uid] = entry
-        entry.order = self._order_counter
+                f"dyn_id {key} already in issue queue")  # lint: disable=REP004(raise-only path: the f-string is built only when the duplicate-key invariant is already broken)
+        entries[key] = record
+        record.order = self._order_counter
         self._order_counter += 1
-        if entry.remaining_sources == 0:
-            self._ready[uid] = entry
-
-    # ----------------------------------------------------------------- wakeup
-    # hot-path
-    def wakeup(self, uid: int, count: int = 1) -> None:
-        """Mark ``count`` source operands of ``uid`` as ready."""
-        entry = self._entries.get(uid)
-        if entry is None:
-            return
-        remaining = entry.remaining_sources - count
-        if remaining <= 0:
-            remaining = 0
-            self._ready[uid] = entry
-        entry.remaining_sources = remaining
+        if record.remaining_sources == 0:
+            self._ready[key] = record
 
     # ----------------------------------------------------------------- select
     # hot-path
-    def select(self, max_issue: Optional[int] = None,
-               memory_slots: Optional[int] = None) -> List[IssueQueueEntry]:
-        """Select up to ``issue_width`` ready entries, oldest first.
+    def select(self, memory_slots: Optional[int] = None) -> List[QueueRecord]:
+        """Select up to ``issue_width`` ready records, oldest first.
 
         ``memory_slots`` optionally caps how many memory operations may issue
-        this cycle (DL0 port limit); non-memory entries are unaffected.
-        Selected entries are removed from the queue.
+        this cycle (DL0 port limit); non-memory records are unaffected.
+        Selected records are removed from the queue.
         """
         ready = self._ready
         if not ready:
             return []
-        budget = self.issue_width if max_issue is None else min(max_issue, self.issue_width)
-        if budget <= 0:
-            return []
+        budget = self.issue_width
         mem_budget = memory_slots if memory_slots is not None else budget
         entries = self._entries
         if len(ready) == 1:
-            uid, entry = ready.popitem()
-            if entry.is_memory and mem_budget <= 0:
-                ready[uid] = entry
+            key, record = ready.popitem()
+            if record.is_memory and mem_budget <= 0:
+                ready[key] = record
                 return []
-            del entries[uid]
-            return [entry]
-        selected: List[IssueQueueEntry] = []
-        for entry in sorted(ready.values(), key=_age_key):
-            if entry.is_memory:
+            del entries[key]
+            return [record]
+        selected: List[QueueRecord] = []
+        for record in sorted(ready.values(), key=_age_key):
+            if record.is_memory:
                 if mem_budget <= 0:
                     continue
                 mem_budget -= 1
-            selected.append(entry)
+            selected.append(record)
             if len(selected) >= budget:
                 break
-        for entry in selected:
-            del entries[entry.uid]
-            del ready[entry.uid]
+        for record in selected:
+            del entries[record.dyn_id]
+            del ready[record.dyn_id]
         return selected
 
-    def _remove(self, uid: int) -> None:
-        del self._entries[uid]
-        self._ready.pop(uid, None)
-
     # ------------------------------------------------------------------ flush
-    def flush_from(self, seq: int) -> List[IssueQueueEntry]:
-        """Remove and return all entries with sequence number >= ``seq``.
+    def flush_from(self, seq: int) -> List[QueueRecord]:
+        """Remove and return all records with sequence number >= ``seq``,
+        oldest first.
 
         This implements the paper's flushing recovery (§3.2): on a fatal width
         misprediction every instruction starting from the mispredicted one is
         squashed in the narrow backend.
         """
-        doomed = sorted((e for e in self._entries.values() if e.seq >= seq),
+        doomed = sorted((r for r in self._entries.values() if r.seq >= seq),
                         key=_age_key)
-        for entry in doomed:
-            self._remove(entry.uid)
+        for record in doomed:
+            del self._entries[record.dyn_id]
+            self._ready.pop(record.dyn_id, None)
         return doomed
-
-    def drain(self) -> List[IssueQueueEntry]:
-        """Remove and return everything (used at simulation teardown)."""
-        entries = sorted(self._entries.values(), key=_age_key)
-        self._entries.clear()
-        self._ready.clear()
-        return entries
 
     # -------------------------------------------------------------- statistics
     # hot-path
@@ -209,7 +176,3 @@ class IssueQueue:
         if self.total_occupancy_samples == 0:
             return 0.0
         return self.occupancy_accum / self.total_occupancy_samples
-
-    def ready_count(self) -> int:
-        """Number of currently ready (issuable) entries."""
-        return len(self._ready)

@@ -66,10 +66,9 @@ from repro.memory.tracecache import TraceCache
 from repro.pipeline.clocking import ClockDomain, ClockingModel
 from repro.pipeline.frontend import FetchedUop, Frontend
 from repro.pipeline.mob import MemoryOrderBuffer
-from repro.pipeline.recovery import RecoveryManager
 from repro.pipeline.rename import RenameTable
 from repro.pipeline.rob import ReorderBuffer
-from repro.pipeline.scheduler import IssueQueue, IssueQueueEntry
+from repro.pipeline.scheduler import IssueQueue
 from repro.power.wattch import ClusterActivity, PowerModel
 from repro.sim.metrics import PredictionBreakdown, SimulationResult
 from repro.trace.trace import Trace
@@ -98,7 +97,12 @@ _UNIT_ACCOUNT = {
 
 @dataclass(slots=True)
 class _DynUop:
-    """Per-in-flight-operation simulator state."""
+    """Per-in-flight-operation simulator state.
+
+    The one record of an in-flight operation: issue queues hold it (keyed by
+    ``dyn_id``), the ROB holds each trace uop's record under the trace uid,
+    and waiter lists hold it until its sources wake it.
+    """
 
     dyn_id: int
     kind: str                       # "trace" | "copy" | "chunk"
@@ -112,14 +116,19 @@ class _DynUop:
     chunk_index: int = 0
     parent: Optional["_DynUop"] = None
     predicted_narrow: Optional[bool] = None
+    #: retirable: set on a trace record only when it (or the clone that
+    #: re-executes it) completes without a fatal width misprediction
     completed: bool = False
     squashed: bool = False
-    in_rob: bool = False
     replicate_load: bool = False
     is_last_chunk: bool = False
     #: functional-unit kind of ``opcode``, precomputed at dispatch so the
     #: issue loop needs no opcode-info lookup
     unit: Optional[FunctionalUnit] = None
+    # Issue-queue state (see repro.pipeline.scheduler.QueueRecord).
+    remaining_sources: int = 0
+    is_memory: bool = False
+    order: int = 0
 
 
 class HelperClusterSimulator:
@@ -154,7 +163,8 @@ class HelperClusterSimulator:
         self.mob = MemoryOrderBuffer()
         self.memory = MemoryHierarchy(self.config.memory)
         self.rename = RenameTable()
-        self.recovery = RecoveryManager(clock_ratio=self.clocking.ratio)
+        #: dispatch waits until this fast cycle after a flushing recovery
+        self._dispatch_blocked_until = 0
 
         # Core mechanisms.
         self.width_predictor = WidthPredictor(
@@ -234,7 +244,7 @@ class HelperClusterSimulator:
              self._periods[backend.index])
             for backend in self.helpers]
         #: optional commit observer: called as ``hook(retired, t)`` with the
-        #: just-retired ROB entries and the fast cycle.  The differential
+        #: just-retired ROB records and the fast cycle.  The differential
         #: fuzz harness (repro.fuzz) attaches an in-order-retirement checker
         #: here; the default None costs one attribute test per retiring
         #: cycle and leaves results untouched.
@@ -477,11 +487,13 @@ class HelperClusterSimulator:
         for dyn in completing:
             if dyn.squashed:
                 continue
-            dyn.completed = True
             kind = dyn.kind
             if kind == "trace":
+                # Marks itself completed only if no recovery is triggered.
                 self._complete_trace_uop(dyn, t)
-            elif kind == "copy":
+                continue
+            dyn.completed = True
+            if kind == "copy":
                 self._complete_copy(dyn, t)
             else:
                 self._complete_chunk(dyn, t)
@@ -492,12 +504,12 @@ class HelperClusterSimulator:
         self.copy_engine.complete_copy(request, t)
         backend = self._backend(dyn.domain)
         backend.stats.copies_executed += 1
-        self._wake(request.value_uid, request.to_domain)
+        self._wake((request.value_uid, request.to_domain))
 
     def _complete_chunk(self, dyn: _DynUop, t: int) -> None:
         backend = self._backend(dyn.domain)
         backend.stats.split_chunks += 1
-        self._wake_chunk_successors(dyn)
+        self._wake(("chunk", dyn.dyn_id))
         parent = dyn.parent
         assert parent is not None
         if dyn.is_last_chunk:
@@ -505,7 +517,7 @@ class HelperClusterSimulator:
             # narrow cluster once the most-significant chunk completes.
             if parent.value_uid is not None:
                 self.copy_engine.note_produced(parent.value_uid, dyn.domain, t)
-                self._wake(parent.value_uid, dyn.domain)
+                self._wake((parent.value_uid, dyn.domain))
                 if parent.uop is not None and parent.uop.has_dest:
                     self.rename.writeback(parent.uop.dest, parent.value_uid,
                                           narrow=False, domain=dyn.domain)
@@ -513,8 +525,6 @@ class HelperClusterSimulator:
                     self.rename.writeback(ArchReg.FLAGS, parent.value_uid,
                                           narrow=True, domain=dyn.domain)
             parent.completed = True
-            if parent.in_rob and parent.uop is not None:
-                self.rob.mark_completed(parent.uop.uid)
 
     # hot-path
     def _complete_trace_uop(self, dyn: _DynUop, t: int) -> None:
@@ -580,7 +590,7 @@ class HelperClusterSimulator:
             if info.writes_flags:
                 self.rename.writeback(ArchReg.FLAGS, value_uid, narrow=True,
                                       domain=domain)
-            self._wake(value_uid, domain)
+            self._wake((value_uid, domain))
             if dyn.replicate_load and info.is_load and actual_narrow:
                 # LR (§3.4): the narrow load value is written into every
                 # cluster's register file through the shared MOB.  A value
@@ -592,9 +602,13 @@ class HelperClusterSimulator:
                 widths = self._cluster_widths
                 for other in range(len(self.clusters)):
                     if other != domain and result_width <= widths[other]:
-                        self._wake(value_uid, other)
-        if dyn.in_rob:
-            self.rob.mark_completed(uop.uid)
+                        self._wake((value_uid, other))
+        dyn.completed = True
+        # A re-executed uop retires through the record its squashed original
+        # keeps in the ROB; a no-op if that original has already retired.
+        record = self.rob.by_uid.get(uop.uid)
+        if record is not None:
+            record.completed = True
 
     # --------------------------------------------------------------- recovery
     def _recover(self, trigger: _DynUop, t: int) -> None:
@@ -605,14 +619,17 @@ class HelperClusterSimulator:
         partial flushes could strand waiters.
         """
         seq = trigger.seq
-        trigger_domain = trigger.domain
+        # Dispatch waits out the detecting cluster's re-steer penalty.
+        penalty_slow = self.topology.clusters[trigger.domain].flush_penalty_slow
+        self._dispatch_blocked_until = max(self._dispatch_blocked_until,
+                                           t + penalty_slow * self._ratio)
+        # The trigger never marked itself completed, so flag it squashed now
+        # for the in-flight scan below to skip; it is appended last instead.
+        trigger.squashed = True
         squashed: List[_DynUop] = []
         cancelled: List[CopyRequest] = []
         for backend in self.helpers:
-            squashed_entries = backend.issue_queue.flush_from(seq)
-            for entry in squashed_entries:
-                dyn = entry.payload
-                assert isinstance(dyn, _DynUop)
+            for dyn in backend.issue_queue.flush_from(seq):
                 if dyn.kind == "copy":
                     request = dyn.copy_request
                     assert request is not None
@@ -625,7 +642,7 @@ class HelperClusterSimulator:
                     # producer instead.
                     if self.copy_engine.availability(request.value_uid,
                                                      request.from_domain) is not None:
-                        backend.issue_queue.insert(entry, force=True)
+                        backend.issue_queue.insert(dyn, force=True)
                     else:
                         dyn.squashed = True
                         self.copy_engine.cancel_copy(request)
@@ -647,7 +664,6 @@ class HelperClusterSimulator:
                     squashed.append(dyn)
 
         # The trigger itself re-executes in the wide backend.
-        trigger.squashed = True
         squashed.append(trigger)
 
         # Squashed uops stay on the waiter lists they joined, and the
@@ -666,12 +682,6 @@ class HelperClusterSimulator:
                 self._prune_waiters((producer_uid, domain))
             self._prune_waiters(("chunk", dyn.dyn_id))
 
-        event = self.recovery.trigger(
-            trigger_uid=trigger.value_uid if trigger.value_uid is not None else trigger.dyn_id,
-            trigger_seq=seq, fast_cycle=t,
-            squashed_uids=[d.dyn_id for d in squashed],
-            penalty_slow=self.topology.clusters[trigger_domain].flush_penalty_slow)
-
         # Collapse chunk squashes onto their parents so the parent re-executes
         # as a single wide instruction.
         parents: Dict[int, _DynUop] = {}
@@ -687,8 +697,9 @@ class HelperClusterSimulator:
         redispatch.extend(parents.values())
         redispatch.sort(key=lambda d: d.seq)
         for dyn in redispatch:
-            # The original record stays as the ROB payload; it now reflects
-            # wide-cluster execution for commit-time accounting.
+            # The original record stays in the ROB, where its clone marks it
+            # completed; it now reflects wide-cluster execution for
+            # commit-time accounting.
             dyn.domain = _WIDE
             fresh = self._clone_for_redispatch(dyn)
             self._redispatch.append(fresh)
@@ -719,7 +730,6 @@ class HelperClusterSimulator:
             decision=SteerDecision(domain=ClockDomain.WIDE, reason="recovery"),
             value_uid=dyn.value_uid,
             predicted_narrow=None,
-            in_rob=dyn.in_rob,
             unit=dyn.unit,
         )
 
@@ -729,11 +739,11 @@ class HelperClusterSimulator:
     def _issue(self, t: int) -> None:
         periods = self._periods
         for backend in self.helpers:
-            if backend.issue_queue.ready_count():
+            if backend.issue_queue.ready_entries:
                 period = periods[backend.index]
                 if period == 1 or t % period == 0:
                     self._issue_backend(backend, t)
-        if t % self._ratio == 0 and self.wide.issue_queue.ready_count():
+        if t % self._ratio == 0 and self.wide.issue_queue.ready_entries:
             self._issue_backend(self.wide, t)
 
     # hot-path
@@ -742,17 +752,16 @@ class HelperClusterSimulator:
         dl0_free = self.memory.dl0_ports - self._dl0_slots.get(slow_cycle, 0)
         selected = backend.issue_queue.select(memory_slots=max(0, dl0_free))
         completions = self._completions
-        for entry in selected:
-            dyn = entry.payload
+        for dyn in selected:
             completion = backend.units.try_issue(dyn.opcode, t, unit=dyn.unit)
             if completion is None:
-                # Structural hazard on the functional unit: put the entry
-                # back and retry next cycle.  Forced because the entry was
-                # resident a moment ago (recovery may have over-filled the
-                # queue in the meantime).
-                backend.issue_queue.insert(entry, force=True)
+                # Structural hazard on the functional unit: put the uop back
+                # and retry next cycle.  Forced because the uop was resident
+                # a moment ago (recovery may have over-filled the queue in
+                # the meantime).
+                backend.issue_queue.insert(dyn, force=True)
                 continue
-            if entry.is_memory and dyn.kind == "trace":
+            if dyn.is_memory:
                 completion = self._memory_access(dyn, t, completion, slow_cycle)
             backend.stats.issued += 1
             bucket = completions.get(completion)
@@ -798,10 +807,7 @@ class HelperClusterSimulator:
         result = self.result
         steer_reasons = result.steer_reasons
         copied_values = self._copied_values
-        for entry in retired:
-            dyn = entry.payload
-            if type(dyn) is not _DynUop or dyn.uop is None:
-                continue
+        for dyn in retired:
             uop = dyn.uop
             decision = dyn.decision
             result.committed_uops += 1
@@ -824,7 +830,7 @@ class HelperClusterSimulator:
     # ======================================================================
     # hot-path
     def _dispatch(self, t: int) -> None:
-        if self.recovery.dispatch_blocked(t):
+        if t < self._dispatch_blocked_until:
             return
         slow_cycle = t // self._ratio
         budget = self._fetch_width
@@ -924,12 +930,10 @@ class HelperClusterSimulator:
         activity = self._activity
         info = uop.info
         if allocate_rob:
-            self.rob.allocate(uop.uid, dyn.seq, payload=dyn)
-            dyn.in_rob = True
+            self.rob.allocate(uop.uid, dyn)
             activity.rob_ops += 1
             if info.is_memory:
-                self.mob.allocate(uop.uid, dyn.seq, info.is_store, uop.mem_addr,
-                                  uop.mem_size)
+                self.mob.allocate(uop.uid, dyn.seq, info.is_store, uop.mem_addr)
             # Rename the destination and record the steering domain so later
             # consumers know where the value will live (§3.2 width table).
             decision = dyn.decision
@@ -958,9 +962,9 @@ class HelperClusterSimulator:
                 self.rename.allocate(ArchReg.FLAGS, uop.uid, dyn.domain, True)
             activity.rename_ops += 1
 
-        iq.insert(IssueQueueEntry(
-            uid=dyn.dyn_id, seq=dyn.seq, remaining_sources=outstanding,
-            is_memory=info.is_memory, payload=dyn), force=force)
+        dyn.remaining_sources = outstanding
+        dyn.is_memory = info.is_memory
+        iq.insert(dyn, force=force)
         backend.stats.dispatched += 1
         self._account_dispatch(dyn, backend)
 
@@ -1028,12 +1032,8 @@ class HelperClusterSimulator:
                     # A consumed prefetch keeps the producer's CP bit trained.
                     self._copied_values.add(producer_uid)
                 continue
-            rob_entry = rob_by_uid.get(producer_uid)
-            producer_domain = None
-            if rob_entry is not None:
-                payload = rob_entry.payload
-                if type(payload) is _DynUop:
-                    producer_domain = payload.domain
+            producer = rob_by_uid.get(producer_uid)
+            producer_domain = None if producer is None else producer.domain
             if producer_domain is None and not slots:
                 # Retired before tracking or trace live-in: architectural
                 # state visible to both register files.
@@ -1114,21 +1114,17 @@ class HelperClusterSimulator:
             dyn_id=self._dyn_counter, kind="copy", seq=producer_seq,
             domain=from_domain, opcode=Opcode.COPY, copy_request=request,
             value_uid=value_uid, unit=FunctionalUnit.COPY)
-        backend = self._backend(from_domain)
         # The copy depends on the value being available in the producer
         # cluster (it reads the producer's register file).
         avail = self.copy_engine.availability(value_uid, from_domain)
-        outstanding = 0
         if avail is None or avail > t:
-            outstanding = 1
+            dyn.remaining_sources = 1
             self._waiters.setdefault((value_uid, from_domain), []).append(dyn)
-        backend.issue_queue.insert(IssueQueueEntry(
-            uid=dyn.dyn_id, seq=producer_seq, remaining_sources=outstanding,
-            payload=dyn), force=force)
+        self._backend(from_domain).issue_queue.insert(dyn, force=force)
 
     def _seq_of_value(self, value_uid: int) -> int:
-        entry = self.rob.by_uid.get(value_uid)
-        return 0 if entry is None else entry.seq
+        record = self.rob.by_uid.get(value_uid)
+        return 0 if record is None else record.seq
 
     def _maybe_prefetch_copy(self, dyn: _DynUop, t: int) -> None:
         """§3.6 hybrid policy: CP bit predicts narrow-to-wide copies, the
@@ -1200,13 +1196,11 @@ class HelperClusterSimulator:
             dyn_id=self._dyn_counter, kind="trace", seq=fetched.seq,
             domain=cluster, opcode=uop.opcode, uop=uop,
             decision=decision, value_uid=uop.uid if produces_value else None)
-        self.rob.allocate(uop.uid, fetched.seq, payload=parent)
-        parent.in_rob = True
+        self.rob.allocate(uop.uid, parent)
         self.result.activity.rob_ops += 1
         self.result.activity.rename_ops += 1
         if info.is_memory:
-            self.mob.allocate(uop.uid, fetched.seq, info.is_store, uop.mem_addr,
-                              uop.mem_size)
+            self.mob.allocate(uop.uid, fetched.seq, info.is_store, uop.mem_addr)
         if uop.has_dest:
             self.rename.allocate(uop.dest, uop.uid, cluster, False)
         if info.writes_flags:
@@ -1223,18 +1217,13 @@ class HelperClusterSimulator:
                 parent=parent, chunk_index=chunk.chunk_index,
                 is_last_chunk=(chunk.chunk_index == plan.num_chunks - 1),
                 unit=helper_backend.units.unit_for(chunk.opcode))
-            outstanding = 0
             if chunk.chunk_index == 0:
-                resolved = self._resolve_dependences(chunk_dyn, t)
-                if resolved is None:
-                    resolved = 0
-                outstanding = resolved
+                chunk_dyn.remaining_sources = (
+                    self._resolve_dependences(chunk_dyn, t) or 0)
             elif chunk.depends_on_previous and previous is not None:
-                outstanding = 1
+                chunk_dyn.remaining_sources = 1
                 self._waiters.setdefault(("chunk", previous.dyn_id), []).append(chunk_dyn)
-            narrow_queue.insert(IssueQueueEntry(
-                uid=chunk_dyn.dyn_id, seq=fetched.seq,
-                remaining_sources=outstanding, payload=chunk_dyn))
+            narrow_queue.insert(chunk_dyn)
             helper_backend.stats.dispatched += 1
             self._account_dispatch(chunk_dyn, helper_backend)
             previous = chunk_dyn
@@ -1254,41 +1243,30 @@ class HelperClusterSimulator:
     # wakeup plumbing
     # ======================================================================
     # hot-path
-    def _wake(self, value_uid: Optional[int], domain: ClockDomain) -> None:
-        if value_uid is None:
-            return
-        waiters = self._waiters.pop((value_uid, domain), None)
+    def _wake(self, key: Tuple[object, int]) -> None:
+        """One source of each live uop waiting on ``key`` — a (value uid,
+        cluster) pair or an IR chunk chain's ("chunk", dyn_id) — is ready.
+
+        This is the issue queue's wake step, done on its live views: the
+        woken uop's ``remaining_sources`` drops, and at zero it joins the
+        queue's ready set.
+        """
+        waiters = self._waiters.pop(key, None)
         if not waiters:
             return
         clusters = self.clusters
         for dyn in waiters:
             if dyn.squashed:
                 continue
-            # IssueQueue.wakeup inlined: one dict probe and one field update.
             iq = clusters[dyn.domain].issue_queue
             uid = dyn.dyn_id
-            entry = iq.entries.get(uid)
-            if entry is None:
+            if uid not in iq.entries:
                 continue
-            remaining = entry.remaining_sources - 1
+            remaining = dyn.remaining_sources - 1
             if remaining <= 0:
                 remaining = 0
-                iq.ready_entries[uid] = entry
-            entry.remaining_sources = remaining
-
-    def _wake_dyn(self, dyn: _DynUop) -> None:
-        if dyn.squashed:
-            return
-        backend = self.clusters[dyn.domain]
-        backend.issue_queue.wakeup(dyn.dyn_id)
-        # Chunk chains use a synthetic key; completing chunks wake successors.
-
-    def _wake_chunk_successors(self, chunk: _DynUop) -> None:
-        waiters = self._waiters.pop(("chunk", chunk.dyn_id), None)
-        if not waiters:
-            return
-        for dyn in waiters:
-            self._wake_dyn(dyn)
+                iq.ready_entries[uid] = dyn
+            dyn.remaining_sources = remaining
 
     # ======================================================================
     # sampling / finalisation

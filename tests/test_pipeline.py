@@ -12,12 +12,12 @@ from repro.pipeline.clocking import ClockDomain, ClockingModel
 from repro.pipeline.execute import ExecutionUnitPool
 from repro.pipeline.frontend import Frontend
 from repro.pipeline.mob import MemoryOrderBuffer
-from repro.pipeline.recovery import RecoveryManager
 from repro.pipeline.rename import RenameTable
 from repro.pipeline.rob import ReorderBuffer
-from repro.pipeline.scheduler import IssueQueue, IssueQueueEntry
+from repro.pipeline.scheduler import IssueQueue
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import generate_trace
+from test_scheduler_random import Record, wake
 
 
 class TestClocking:
@@ -115,58 +115,48 @@ class TestRenameTable:
 
 
 class TestROB:
+    @staticmethod
+    def allocate(rob, uid, completed=False):
+        record = Record(dyn_id=uid, seq=uid, completed=completed)
+        rob.allocate(uid, record)
+        return record
+
     def test_allocate_commit_in_order(self):
         rob = ReorderBuffer(size=8, commit_width=2)
-        rob.allocate(1, 1)
-        rob.allocate(2, 2)
-        rob.mark_completed(2)
+        first = self.allocate(rob, 1)
+        second = self.allocate(rob, 2)
+        second.completed = True
         assert rob.commit() == []           # head not complete
-        rob.mark_completed(1)
-        retired = rob.commit()
-        assert [e.uid for e in retired] == [1, 2]
+        first.completed = True
+        assert rob.commit() == [first, second]
 
     def test_commit_width_respected(self):
         rob = ReorderBuffer(size=16, commit_width=3)
         for i in range(6):
-            rob.allocate(i, i)
-            rob.mark_completed(i)
+            self.allocate(rob, i, completed=True)
         assert len(rob.commit()) == 3
         assert len(rob.commit()) == 3
 
     def test_capacity(self):
         rob = ReorderBuffer(size=2)
-        rob.allocate(1, 1)
-        rob.allocate(2, 2)
+        self.allocate(rob, 1)
+        self.allocate(rob, 2)
         assert rob.is_full()
         with pytest.raises(RuntimeError):
-            rob.allocate(3, 3)
+            self.allocate(rob, 3)
 
     def test_out_of_order_allocation_rejected(self):
         rob = ReorderBuffer()
-        rob.allocate(5, 5)
+        self.allocate(rob, 5)
         with pytest.raises(ValueError):
-            rob.allocate(4, 4)
-
-    def test_squashed_entries_do_not_count_as_committed(self):
-        rob = ReorderBuffer()
-        rob.allocate(1, 1)
-        rob.mark_squashed(1)
-        rob.commit()
-        assert rob.committed == 0
-
-    def test_head_seq_and_occupancy(self):
-        rob = ReorderBuffer()
-        assert rob.head_seq() is None
-        rob.allocate(3, 3)
-        assert rob.head_seq() == 3
-        assert rob.occupancy() == 1
+            self.allocate(rob, 4)
 
 
 class TestIssueQueue:
     @staticmethod
     def entry(uid, seq, remaining=0, memory=False):
-        return IssueQueueEntry(uid=uid, seq=seq, remaining_sources=remaining,
-                               is_memory=memory)
+        return Record(dyn_id=uid, seq=seq, remaining_sources=remaining,
+                      is_memory=memory)
 
     def test_insert_and_capacity(self):
         queue = IssueQueue(size=2, issue_width=1)
@@ -200,19 +190,16 @@ class TestIssueQueue:
         queue = IssueQueue(size=8, issue_width=4)
         queue.insert(self.entry(1, 1, remaining=1))
         queue.insert(self.entry(2, 2))
-        assert [e.uid for e in queue.select()] == [2]
+        assert [e.dyn_id for e in queue.select()] == [2]
 
     def test_wakeup_enables_selection(self):
         queue = IssueQueue()
-        queue.insert(self.entry(1, 1, remaining=2))
-        queue.wakeup(1)
+        record = self.entry(1, 1, remaining=2)
+        queue.insert(record)
+        wake(queue, record)
         assert queue.select() == []
-        queue.wakeup(1)
-        assert [e.uid for e in queue.select()] == [1]
-
-    def test_wakeup_unknown_uid_is_noop(self):
-        queue = IssueQueue()
-        queue.wakeup(999)
+        wake(queue, record)
+        assert queue.select() == [record]
 
     def test_memory_port_limit(self):
         queue = IssueQueue(size=8, issue_width=4)
@@ -229,13 +216,6 @@ class TestIssueQueue:
         squashed = queue.flush_from(3)
         assert [e.seq for e in squashed] == [3, 4, 5]
         assert len(queue) == 3
-
-    def test_drain(self):
-        queue = IssueQueue()
-        queue.insert(self.entry(1, 1))
-        queue.insert(self.entry(2, 2))
-        assert [e.seq for e in queue.drain()] == [1, 2]
-        assert len(queue) == 0
 
     def test_occupancy_sampling(self):
         queue = IssueQueue()
@@ -256,11 +236,11 @@ class TestIssueQueue:
 
 class TestMOB:
     def test_allocate_release(self):
-        mob = MemoryOrderBuffer(load_entries=2, store_entries=2)
+        mob = MemoryOrderBuffer(load_entries=1, store_entries=1)
         mob.allocate(1, 1, is_store=False, addr=0x10)
-        assert mob.load_occupancy() == 1
+        assert not mob.can_allocate(is_store=False)
         mob.release(1)
-        assert mob.load_occupancy() == 0
+        assert mob.can_allocate(is_store=False)
 
     def test_capacity(self):
         mob = MemoryOrderBuffer(load_entries=1, store_entries=1)
@@ -273,22 +253,15 @@ class TestMOB:
     def test_forwarding(self):
         mob = MemoryOrderBuffer()
         mob.allocate(1, 1, is_store=True, addr=0x40)
-        hit = mob.forwarding_store(load_seq=5, addr=0x40)
-        assert hit is not None and hit.uid == 1
+        mob.allocate(3, 3, is_store=True, addr=0x40)
+        assert mob.forwarding_store(load_seq=5, addr=0x40) == 3
+        assert mob.forwarding_store(load_seq=2, addr=0x40) == 1
         assert mob.forwarding_store(load_seq=5, addr=0x44) is None
 
     def test_forwarding_ignores_younger_stores(self):
         mob = MemoryOrderBuffer()
         mob.allocate(9, 9, is_store=True, addr=0x40)
         assert mob.forwarding_store(load_seq=5, addr=0x40) is None
-
-    def test_flush_from(self):
-        mob = MemoryOrderBuffer()
-        mob.allocate(1, 1, is_store=False, addr=0x1)
-        mob.allocate(2, 5, is_store=True, addr=0x2)
-        squashed = mob.flush_from(3)
-        assert squashed == [2]
-        assert mob.store_occupancy() == 0
 
 
 class TestExecutionUnits:
@@ -412,29 +385,7 @@ class TestFrontend:
 
 
 class TestRecovery:
-    def test_trigger_blocks_dispatch(self):
-        mgr = RecoveryManager(clock_ratio=2)
-        event = mgr.trigger(trigger_uid=7, trigger_seq=7, fast_cycle=100,
-                            squashed_uids=[7, 8, 9], penalty_slow=5)
-        assert event.refetch_ready_cycle == 110
-        assert mgr.dispatch_blocked(105)
-        assert not mgr.dispatch_blocked(110)
-
-    def test_statistics(self):
-        mgr = RecoveryManager()
-        mgr.trigger(1, 1, 0, [1], penalty_slow=5)
-        mgr.trigger(2, 2, 50, [2, 3], penalty_slow=5)
-        assert mgr.num_recoveries == 2
-        assert mgr.total_squashed == 3
-
     def test_invalid_penalty(self):
         # The penalty is a per-cluster parameter, validated on the spec.
         with pytest.raises(ValueError):
             ClusterSpec(name="narrow", flush_penalty_slow=-1)
-
-    def test_reset(self):
-        mgr = RecoveryManager()
-        mgr.trigger(1, 1, 0, penalty_slow=5)
-        mgr.reset()
-        assert mgr.num_recoveries == 0
-        assert not mgr.dispatch_blocked(1)

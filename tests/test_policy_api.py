@@ -52,6 +52,7 @@ from repro.sim.experiment import ExperimentRunner, mixed_topology_point
 from repro.sim.simulator import HelperClusterSimulator, simulate
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import generate_trace
+from test_scheduler_random import Record
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +227,8 @@ class TestWidthAwareSelector:
         backends = _bind_selector(selector, self._mixed())
         n8 = backends[1]
         while n8.issue_queue.free_slots:
-            from repro.pipeline.scheduler import IssueQueueEntry
-            n8.issue_queue.insert(IssueQueueEntry(
-                uid=1000 + n8.issue_queue.free_slots, seq=0,
+            n8.issue_queue.insert(Record(
+                dyn_id=1000 + n8.issue_queue.free_slots, seq=0,
                 remaining_sources=1))
         assert selector.select(ClusterRequirement(min_width=8)) == 2
 
@@ -298,9 +298,8 @@ class TestLeastLoadedSelector:
         selector = LeastLoadedSelector()
         backends = _bind_selector(selector, helper_topology(helpers=2))
         assert selector.select() == 1  # tie -> lowest index
-        from repro.pipeline.scheduler import IssueQueueEntry
-        backends[1].issue_queue.insert(IssueQueueEntry(
-            uid=1, seq=0, remaining_sources=1))
+        backends[1].issue_queue.insert(Record(
+            dyn_id=1, seq=0, remaining_sources=1))
         assert selector.select() == 2  # helper 2 now has more free slots
 
 

@@ -1,103 +1,247 @@
-"""Randomized, seeded stress tests of the scheduler and simulator invariants.
+"""Oracle tests of the issue queue and the ROB, and randomized simulator runs.
 
-Coreblocks-style randomized testing: each trial seeds ``random`` explicitly,
-drives the unit with a random operation sequence, and asserts structural
-invariants rather than exact outputs.  These guard the issue-queue ready-set
-bookkeeping and the simulator's out-of-order machinery:
+The component oracles follow coreblocks, which tests its scheduler with every
+neighbour mocked and checks random stimulus against a plain Python model:
+hypothesis drives the real :class:`IssueQueue` and :class:`ReorderBuffer`
+with random operation sequences, and every observable result is compared
+with a small reference model.  The models import nothing from
+``repro.pipeline``, ``repro.core`` or ``repro.sim``, and the structures are
+fed the plain :class:`Record` below rather than the simulator's own record,
+so the oracles pin the structures' semantics independently of the code that
+uses them:
 
-* an entry never issues (selects) before all its source operands are ready;
-* select is oldest-first and never exceeds the issue width / memory ports;
-* commit retires trace uops strictly in program order;
-* copy uops consume real issue slots in their cluster (issue-slot accounting
-  covers them).
+* select is oldest first, breaking ``seq`` ties by dispatch order, within the
+  issue width and the memory-port (``memory_slots``) budget;
+* only entries with no outstanding sources are selectable, and a forced
+  insert may exceed the capacity;
+* ``flush_from`` removes exactly the entries at or after the flush point;
+* the ROB retires the longest completed prefix, at most ``commit_width`` at a
+  time, and rejects allocations past its size or out of program order.
+
+The seeded whole-simulator trials then check that commit retires trace uops
+strictly in program order, that nothing issues with outstanding operands,
+and that copy uops consume real issue slots in their cluster.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import helper_cluster_config
 from repro.core.steering import make_policy
-from repro.pipeline.scheduler import IssueQueue, IssueQueueEntry
+from repro.pipeline.rob import ReorderBuffer
+from repro.pipeline.scheduler import IssueQueue
 from repro.sim.simulator import HelperClusterSimulator
 from repro.trace.profiles import SPEC_INT_NAMES, get_profile
 from repro.trace.synthetic import generate_trace
 
-N_QUEUE_TRIALS = 25
 N_SIM_TRIALS = 6
 
 
+@dataclass(eq=False)
+class Record:
+    """A plain in-flight operation: the fields the queue and the ROB read."""
+
+    dyn_id: int
+    seq: int
+    remaining_sources: int = 0
+    is_memory: bool = False
+    order: int = 0
+    completed: bool = False
+
+
+# ---------------------------------------------------------------------------
+# reference models
+# ---------------------------------------------------------------------------
+class QueueModel:
+    """An issue queue as a list of ``[key, seq, sources, memory]`` entries
+    kept in dispatch order, so a stable sort on ``seq`` is oldest first."""
+
+    def __init__(self, size: int, issue_width: int) -> None:
+        self.size = size
+        self.issue_width = issue_width
+        self.live: list = []
+
+    def insert(self, key, seq, sources, memory, force=False) -> bool:
+        if len(self.live) >= self.size and not force:
+            return False
+        self.live.append([key, seq, sources, memory])
+        return True
+
+    def wake(self, key) -> None:
+        for entry in self.live:
+            if entry[0] == key:
+                entry[2] = max(0, entry[2] - 1)
+
+    def ready(self) -> set:
+        return {entry[0] for entry in self.live if entry[2] == 0}
+
+    def _remove(self, chosen) -> list:
+        keys = [entry[0] for entry in chosen]
+        self.live = [entry for entry in self.live if entry[0] not in keys]
+        return keys
+
+    def select(self, memory_slots) -> list:
+        memory_budget = self.issue_width if memory_slots is None else memory_slots
+        chosen = []
+        for entry in sorted(self.live, key=lambda e: e[1]):
+            if len(chosen) == self.issue_width:
+                break
+            if entry[2]:
+                continue
+            if entry[3]:
+                if memory_budget == 0:
+                    continue
+                memory_budget -= 1
+            chosen.append(entry)
+        return self._remove(chosen)
+
+    def flush_from(self, seq) -> list:
+        return self._remove(sorted((e for e in self.live if e[1] >= seq),
+                                   key=lambda e: e[1]))
+
+
+class ROBModel:
+    """A reorder buffer as a list of ``[key, seq, completed]`` entries in
+    program order."""
+
+    def __init__(self, size: int, commit_width: int) -> None:
+        self.size = size
+        self.commit_width = commit_width
+        self.live: list = []
+
+    def allocate(self, key, seq):
+        """None on success, else the error the allocation must raise."""
+        if len(self.live) >= self.size:
+            return RuntimeError
+        if self.live and seq <= self.live[-1][1]:
+            return ValueError
+        self.live.append([key, seq, False])
+        return None
+
+    def complete(self, key) -> None:
+        for entry in self.live:
+            if entry[0] == key:
+                entry[2] = True
+
+    def commit(self) -> list:
+        count = 0
+        while (count < min(len(self.live), self.commit_width)
+               and self.live[count][2]):
+            count += 1
+        retired, self.live = self.live[:count], self.live[count:]
+        return [entry[0] for entry in retired]
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+def wake(queue: IssueQueue, record: Record) -> None:
+    """One source of ``record`` becomes ready: the simulator's wake step,
+    written against the queue's documented live views."""
+    if record.dyn_id not in queue.entries:
+        return
+    remaining = record.remaining_sources - 1
+    if remaining <= 0:
+        remaining = 0
+        queue.ready_entries[record.dyn_id] = record
+    record.remaining_sources = remaining
+
+
+_SEQS = st.integers(min_value=0, max_value=5)   # narrow, so seq ties are common
+#: (operation, seq, outstanding sources, memory?, force / re-insert?, memory
+#: slots / wake target); each operation reads the fields it needs
+_QUEUE_OPS = st.lists(st.tuples(
+    st.sampled_from(("insert", "insert", "wake", "select", "select", "flush")),
+    _SEQS, st.integers(0, 2), st.booleans(), st.booleans(),
+    st.none() | st.integers(0, 2)), min_size=1, max_size=60)
+#: (operation, seq step / completion target)
+_ROB_OPS = st.lists(st.tuples(
+    st.sampled_from(("allocate", "allocate", "complete", "complete", "commit")),
+    st.integers(0, 63)), min_size=1, max_size=60)
+
+
 class TestIssueQueueRandomized:
-    """Random insert/wakeup/select/flush sequences against a model."""
+    """The real issue queue against :class:`QueueModel`."""
 
-    def _random_entry(self, uid: int) -> IssueQueueEntry:
-        return IssueQueueEntry(
-            uid=uid,
-            seq=random.randint(0, 40),       # deliberate seq ties
-            remaining_sources=random.randint(0, 3),
-            is_memory=random.random() < 0.3,
-        )
-
-    def test_random_operation_sequences(self):
-        random.seed(14)
-        for _ in range(N_QUEUE_TRIALS):
-            queue = IssueQueue(size=16, issue_width=3)
-            live = {}                        # uid -> entry (the model)
-            next_uid = 0
-            order_of = {}                    # uid -> insertion order
-            insert_counter = 0
-            for _ in range(200):
-                op = random.random()
-                if op < 0.45 and not queue.is_full():
-                    entry = self._random_entry(next_uid)
-                    queue.insert(entry)
-                    live[entry.uid] = entry
-                    order_of[entry.uid] = insert_counter
-                    insert_counter += 1
-                    next_uid += 1
-                elif op < 0.70 and live:
-                    queue.wakeup(random.choice(list(live)))
-                elif op < 0.90:
-                    memory_slots = random.randint(0, 2)
-                    before_ready = sorted(
-                        (uid for uid, e in live.items() if e.remaining_sources == 0),
-                        key=lambda uid: (live[uid].seq, order_of[uid]))
-                    selected = queue.select(memory_slots=memory_slots)
-                    # Invariant: every selected entry was ready.
-                    assert all(e.remaining_sources == 0 for e in selected)
-                    # Invariant: width and memory-port limits hold.
-                    assert len(selected) <= queue.issue_width
-                    assert sum(e.is_memory for e in selected) <= memory_slots
-                    # Invariant: oldest-first among the ready (modulo memory
-                    # entries skipped by the port limit).
-                    non_memory = [e.uid for e in selected if not e.is_memory]
-                    expected_order = [uid for uid in before_ready
-                                      if not live[uid].is_memory]
-                    assert non_memory == expected_order[:len(non_memory)]
-                    for entry in selected:
-                        del live[entry.uid]
+    @given(size=st.integers(1, 6), width=st.integers(1, 3), ops=_QUEUE_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_operation_sequences(self, size, width, ops):
+        queue = IssueQueue(size=size, issue_width=width)
+        model = QueueModel(size, width)
+        records = []
+        for kind, seq, sources, memory, flag, number in ops:
+            if kind == "insert":
+                record = Record(dyn_id=len(records), seq=seq,
+                                remaining_sources=sources, is_memory=memory)
+                records.append(record)
+                if model.insert(record.dyn_id, seq, sources, memory, flag):
+                    queue.insert(record, force=flag)
                 else:
-                    seq = random.randint(0, 40)
-                    squashed = queue.flush_from(seq)
-                    assert all(e.seq >= seq for e in squashed)
-                    for entry in squashed:
-                        del live[entry.uid]
-                # Bookkeeping invariants after every operation.
-                assert len(queue) == len(live)
-                assert queue.ready_count() == sum(
-                    1 for e in live.values() if e.remaining_sources == 0)
+                    with pytest.raises(RuntimeError):
+                        queue.insert(record)
+            elif kind == "wake" and records:
+                record = records[(number or 0) % len(records)]
+                wake(queue, record)
+                model.wake(record.dyn_id)
+            elif kind == "select":
+                selected = queue.select(memory_slots=number)
+                assert [r.dyn_id for r in selected] == model.select(number)
+                assert all(r.remaining_sources == 0 for r in selected)
+                if flag and selected:
+                    # A functional-unit hazard: the simulator puts the record
+                    # back, forced, and it takes a fresh dispatch-order stamp.
+                    record = selected[-1]
+                    queue.insert(record, force=True)
+                    model.insert(record.dyn_id, record.seq, 0,
+                                 record.is_memory, force=True)
+            elif kind == "flush":
+                squashed = queue.flush_from(seq)
+                assert [r.dyn_id for r in squashed] == model.flush_from(seq)
+            assert sorted(queue.entries) == sorted(e[0] for e in model.live)
+            assert set(queue.ready_entries) == model.ready()
+            assert len(queue) == len(model.live)
+            assert queue.free_slots == size - len(model.live)
+            assert queue.is_full() == (len(model.live) >= size)
 
-    def test_drain_returns_everything_in_age_order(self):
-        random.seed(7)
-        for _ in range(10):
-            queue = IssueQueue(size=32, issue_width=3)
-            entries = [self._random_entry(uid) for uid in range(20)]
-            for entry in entries:
-                queue.insert(entry)
-            drained = queue.drain()
-            assert len(drained) == 20 and len(queue) == 0
-            seqs = [e.seq for e in drained]
-            assert seqs == sorted(seqs)
+
+class TestReorderBufferRandomized:
+    """The real ROB against :class:`ROBModel`."""
+
+    @given(size=st.integers(1, 8), width=st.integers(1, 3), ops=_ROB_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_operation_sequences(self, size, width, ops):
+        rob = ReorderBuffer(size=size, commit_width=width)
+        model = ROBModel(size, width)
+        records = []
+        last_seq = 0
+        for kind, number in ops:
+            if kind == "allocate":
+                seq = last_seq + number % 3   # a step of 0 repeats a seq
+                record = Record(dyn_id=len(records), seq=seq)
+                error = model.allocate(record.dyn_id, seq)
+                if error is None:
+                    rob.allocate(record.dyn_id, record)
+                    records.append(record)
+                    last_seq = seq
+                else:
+                    with pytest.raises(error):
+                        rob.allocate(record.dyn_id, record)
+            elif kind == "complete" and records:
+                record = records[number % len(records)]
+                record.completed = True
+                model.complete(record.dyn_id)
+            elif kind == "commit":
+                retired = rob.commit()
+                assert [r.dyn_id for r in retired] == model.commit()
+            assert list(rob.by_uid) == [e[0] for e in model.live]
+            assert len(rob) == len(model.live)
+            assert rob.is_full() == (len(model.live) >= size)
+            assert rob.is_empty() == (not model.live)
 
 
 class TestSimulatorRandomizedInvariants:

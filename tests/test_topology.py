@@ -37,7 +37,7 @@ from repro.sim.experiment import (
     build_topology_grid,
     run_spec_suite,
 )
-from repro.sim.simulator import simulate
+from repro.sim.simulator import HelperClusterSimulator, simulate
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import generate_trace
 
@@ -94,13 +94,43 @@ class TestTopologyConstruction:
             assert spec.issue_width == 2
 
     def test_per_cluster_flush_penalty_reaches_recovery(self):
-        from repro.pipeline.recovery import RecoveryManager
+        # Two helpers with different flush penalties: after each fatal
+        # misprediction, dispatch waits out the penalty of the cluster that
+        # detected it, and nothing dispatches inside that window.
+        host, *helpers = helper_topology(helpers=2).clusters
+        penalties = {1: 3, 2: 17}
+        topology = Topology((host,) + tuple(
+            replace(spec, flush_penalty_slow=penalties[i])
+            for i, spec in enumerate(helpers, start=1)))
+        trace = generate_trace(get_profile("gzip"), 3000, seed=2006)
+        sim = HelperClusterSimulator(trace, config=topology_config(topology),
+                                     policy=make_policy("n888"))
+        ratio = sim.clocking.ratio
+        recoveries, early = [], []
+        recover = sim._recover
 
-        manager = RecoveryManager(clock_ratio=2)
-        paper = manager.trigger(1, 1, fast_cycle=100, penalty_slow=5)
-        assert paper.refetch_ready_cycle == 110
-        slow = manager.trigger(2, 2, fast_cycle=100, penalty_slow=20)
-        assert slow.refetch_ready_cycle == 140
+        def spy_recover(trigger, t):
+            before = sim._dispatch_blocked_until
+            domain = trigger.domain
+            recover(trigger, t)
+            recoveries.append(domain)
+            assert sim._dispatch_blocked_until == max(
+                before, t + penalties[domain] * ratio)
+
+        def spy_dispatch(method):
+            def spy(dyn, t, *args, **kwargs):
+                if t < sim._dispatch_blocked_until:
+                    early.append(t)
+                return method(dyn, t, *args, **kwargs)
+            return spy
+
+        sim._recover = spy_recover
+        sim._dispatch_trace_uop = spy_dispatch(sim._dispatch_trace_uop)
+        sim._dispatch_dyn = spy_dispatch(sim._dispatch_dyn)
+        result = sim.run()
+        assert set(recoveries) == {1, 2}
+        assert result.recoveries == len(recoveries)
+        assert early == []
 
     def test_derived_topology_matches_shim(self):
         config = helper_cluster_config(narrow_width=16, clock_ratio=4)
