@@ -154,15 +154,17 @@ def wake(queue: IssueQueue, record: Record) -> None:
 
 _SEQS = st.integers(min_value=0, max_value=5)   # narrow, so seq ties are common
 #: (operation, seq, outstanding sources, memory?, force / re-insert?, memory
-#: slots / wake target); each operation reads the fields it needs
+#: slots, wake target); each operation reads the fields it needs
 _QUEUE_OPS = st.lists(st.tuples(
-    st.sampled_from(("insert", "insert", "wake", "select", "select", "flush")),
+    st.sampled_from(("insert", "insert", "insert", "wake", "wake", "select",
+                     "select", "flush")),
     _SEQS, st.integers(0, 2), st.booleans(), st.booleans(),
-    st.none() | st.integers(0, 2)), min_size=1, max_size=60)
+    st.none() | st.integers(0, 2), st.integers(0, 63)),
+    min_size=20, max_size=80)
 #: (operation, seq step / completion target)
 _ROB_OPS = st.lists(st.tuples(
     st.sampled_from(("allocate", "allocate", "complete", "complete", "commit")),
-    st.integers(0, 63)), min_size=1, max_size=60)
+    st.integers(0, 63)), min_size=20, max_size=80)
 
 
 class TestIssueQueueRandomized:
@@ -174,7 +176,7 @@ class TestIssueQueueRandomized:
         queue = IssueQueue(size=size, issue_width=width)
         model = QueueModel(size, width)
         records = []
-        for kind, seq, sources, memory, flag, number in ops:
+        for kind, seq, sources, memory, flag, slots, target in ops:
             if kind == "insert":
                 record = Record(dyn_id=len(records), seq=seq,
                                 remaining_sources=sources, is_memory=memory)
@@ -185,12 +187,12 @@ class TestIssueQueueRandomized:
                     with pytest.raises(RuntimeError):
                         queue.insert(record)
             elif kind == "wake" and records:
-                record = records[(number or 0) % len(records)]
+                record = records[target % len(records)]
                 wake(queue, record)
                 model.wake(record.dyn_id)
             elif kind == "select":
-                selected = queue.select(memory_slots=number)
-                assert [r.dyn_id for r in selected] == model.select(number)
+                selected = queue.select(memory_slots=slots)
+                assert [r.dyn_id for r in selected] == model.select(slots)
                 assert all(r.remaining_sources == 0 for r in selected)
                 if flag and selected:
                     # A functional-unit hazard: the simulator puts the record
