@@ -4,7 +4,8 @@ execution units, frontend and recovery."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import ClusterSpec
+from repro.core.config import ClusterSpec, helper_cluster_config
+from repro.core.steering import make_policy
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import ArchReg
 from repro.memory.tracecache import TraceCache, TraceCacheConfig
@@ -15,9 +16,18 @@ from repro.pipeline.mob import MemoryOrderBuffer
 from repro.pipeline.rename import RenameTable
 from repro.pipeline.rob import ReorderBuffer
 from repro.pipeline.scheduler import IssueQueue
+from repro.sim.simulator import HelperClusterSimulator, _DynUop
 from repro.trace.profiles import get_profile
 from repro.trace.synthetic import generate_trace
 from test_scheduler_random import Record, wake
+
+
+def helper_simulator():
+    """An unstarted helper-cluster simulator (clock ratio 2, flush penalty
+    5 slow cycles) over a short trace."""
+    trace = generate_trace(get_profile("gzip"), 200, seed=3)
+    return HelperClusterSimulator(trace, config=helper_cluster_config(),
+                                  policy=make_policy("n888"))
 
 
 class TestClocking:
@@ -200,6 +210,24 @@ class TestIssueQueue:
         assert queue.select() == []
         wake(queue, record)
         assert queue.select() == [record]
+
+    def test_wakeup_unknown_uid_is_noop(self):
+        # The simulator's wake step: a key nothing waits on wakes nothing,
+        # and a waiter the queue does not hold is skipped untouched.
+        sim = helper_simulator()
+        queue = sim.clusters[1].issue_queue
+        resident = _DynUop(dyn_id=1, kind="trace", seq=1, domain=1,
+                           opcode=Opcode.ADD, remaining_sources=1)
+        stray = _DynUop(dyn_id=999, kind="trace", seq=2, domain=1,
+                        opcode=Opcode.ADD, remaining_sources=1)
+        queue.insert(resident)
+        sim._wake((999, 1))
+        sim._waiters[(5, 1)] = [stray]
+        sim._wake((5, 1))
+        assert stray.remaining_sources == 1
+        assert resident.remaining_sources == 1
+        assert len(queue) == 1
+        assert queue.select() == []
 
     def test_memory_port_limit(self):
         queue = IssueQueue(size=8, issue_width=4)
@@ -385,6 +413,24 @@ class TestFrontend:
 
 
 class TestRecovery:
+    def test_trigger_blocks_dispatch(self):
+        # A fatal misprediction detected at fast cycle 100 in a helper with
+        # a 5-slow-cycle penalty at clock ratio 2 blocks dispatch (the
+        # re-dispatch of the squashed trigger included) until cycle 110.
+        sim = helper_simulator()
+        uop = sim.trace[0]
+        trigger = _DynUop(dyn_id=7, kind="trace", seq=7, domain=1,
+                          opcode=uop.opcode, uop=uop)
+        sim._recover(trigger, 100)
+        assert sim._dispatch_blocked_until == 110
+        assert sim.result.recoveries == 1
+        sim._dispatch(105)
+        assert len(sim._redispatch) == 1
+        assert all(len(backend.issue_queue) == 0 for backend in sim.clusters)
+        sim._dispatch(110)
+        assert len(sim._redispatch) == 0
+        assert len(sim.wide.issue_queue) == 1
+
     def test_invalid_penalty(self):
         # The penalty is a per-cluster parameter, validated on the spec.
         with pytest.raises(ValueError):
